@@ -36,31 +36,11 @@ metrics::Histogram* FlushLatencyHist() {
 }  // namespace
 
 Batcher::Batcher(const FilterMap* filter_map, size_t flush_records,
-                 int64_t flush_interval_nanos, FlushFn flush,
-                 Executor* executor)
+                 FlushFn flush, IdleFn idle)
     : filter_map_(filter_map),
       flush_records_(flush_records),
-      flush_interval_nanos_(flush_interval_nanos),
       flush_(std::move(flush)),
-      executor_(executor != nullptr ? executor : Executor::Default()) {}
-
-Batcher::~Batcher() { Stop(); }
-
-void Batcher::Start() {
-  bool expected = true;
-  if (!stop_.compare_exchange_strong(expected, false)) return;
-  // Cancel() in Stop() blocks until an in-flight flush returns, so `this`
-  // is safe to capture for the token's lifetime.
-  timer_token_ =
-      executor_->ScheduleEvery(flush_interval_nanos_, [this] { FlushAll(); });
-}
-
-void Batcher::Stop() {
-  bool expected = false;
-  if (!stop_.compare_exchange_strong(expected, true)) return;
-  timer_token_.Cancel();
-  FlushAll();
-}
+      idle_(std::move(idle)) {}
 
 void Batcher::Submit(GeoRecord record) {
   records_in_.fetch_add(1, std::memory_order_relaxed);
@@ -69,7 +49,7 @@ void Batcher::Submit(GeoRecord record) {
   // Flush EVERY buffer at/over threshold, not just this record's: a racing
   // FlushAll (or a flush_ running outside the lock while other Submits keep
   // pushing) can leave several buffers over flush_records_. Loop until this
-  // submit observes all buffers below threshold.
+  // submit observes all buffers below threshold, or all empty when idle.
   std::vector<std::pair<uint32_t, std::vector<GeoRecord>>> ready;
   bool pushed = false;
   for (;;) {
@@ -80,21 +60,19 @@ void Batcher::Submit(GeoRecord record) {
         buffers_[filter_id].push_back(std::move(record));
         pushed = true;
       }
+      // Read under the lock, after the push: an owner that marks itself
+      // idle before its FlushAll() either sees this record there or is seen
+      // idle here.
+      const bool idle = idle_();
       for (auto& [id, buf] : buffers_) {
-        if (buf.size() >= flush_records_) {
+        if (buf.size() >= flush_records_ || (idle && !buf.empty())) {
           ready.emplace_back(id, std::move(buf));
           buf.clear();
         }
       }
     }
     if (ready.empty()) return;
-    for (auto& [id, batch] : ready) {
-      batches_out_.fetch_add(1, std::memory_order_relaxed);
-      BatchesOutCounter()->Add();
-      BatchSizeHist()->Record(batch.size());
-      metrics::ScopedLatencyTimer timer(FlushLatencyHist());
-      flush_(id, std::move(batch));
-    }
+    for (auto& [id, batch] : ready) Deliver(id, std::move(batch));
   }
 }
 
@@ -105,13 +83,16 @@ void Batcher::FlushAll() {
     out.swap(buffers_);
   }
   for (auto& [filter_id, batch] : out) {
-    if (batch.empty()) continue;
-    batches_out_.fetch_add(1, std::memory_order_relaxed);
-    BatchesOutCounter()->Add();
-    BatchSizeHist()->Record(batch.size());
-    metrics::ScopedLatencyTimer timer(FlushLatencyHist());
-    flush_(filter_id, std::move(batch));
+    if (!batch.empty()) Deliver(filter_id, std::move(batch));
   }
+}
+
+void Batcher::Deliver(uint32_t filter_id, std::vector<GeoRecord> batch) {
+  batches_out_.fetch_add(1, std::memory_order_relaxed);
+  BatchesOutCounter()->Add();
+  BatchSizeHist()->Record(batch.size());
+  metrics::ScopedLatencyTimer timer(FlushLatencyHist());
+  flush_(filter_id, std::move(batch));
 }
 
 }  // namespace chariots::geo

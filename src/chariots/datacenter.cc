@@ -91,32 +91,17 @@ Status Datacenter::Start() {
     CHARIOTS_RETURN_IF_ERROR(RecoverFromStorage());
   }
 
-  // Queues + token.
+  // Queues.
   queues_.reserve(kMaxQueues);
   for (uint32_t q = 0; q < config_.num_queues; ++q) {
-    queues_.push_back(std::make_unique<GeoQueue>(
-        q, &journal_,
-        [this](uint32_t m, GeoRecord r) {
-          r.trace.AddHop("queue", config_.dc_id);
-          RouteToMaintainer(m, std::move(r));
-        }));
+    queues_.push_back(MakeQueue(q));
   }
   queue_count_.store(queues_.size(), std::memory_order_release);
 
   // Filters, each with a bounded inbox drained on an executor strand.
   filters_.reserve(kMaxFilters);
   for (uint32_t f = 0; f < config_.num_filters; ++f) {
-    auto stage = std::make_unique<FilterStage>();
-    stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-        config_.stage_queue_capacity);
-    stage->filter = std::make_unique<Filter>(
-        f, &filter_map_, [this](GeoRecord r) {
-          r.trace.AddHop("filter", config_.dc_id);
-          uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
-          size_t n = queue_count_.load(std::memory_order_acquire);
-          queues_[i % n]->Enqueue(std::move(r));
-        });
-    filters_.push_back(std::move(stage));
+    filters_.push_back(MakeFilterStage(f));
   }
   // After a restart the filters resume their champion streams where the
   // recovered log left off.
@@ -131,42 +116,15 @@ Status Datacenter::Start() {
   // Batchers.
   batchers_.reserve(kMaxBatchers);
   for (uint32_t b = 0; b < config_.num_batchers; ++b) {
-    batchers_.push_back(std::make_unique<Batcher>(
-        &filter_map_, config_.batcher_flush_records,
-        config_.batcher_flush_nanos,
-        [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
-          DeliverToFilter(filter_id, std::move(batch));
-        },
-        executor_));
-    batchers_.back()->Start();
+    batchers_.push_back(MakeBatcher());
   }
   batcher_count_.store(batchers_.size(), std::memory_order_release);
 
-  // Token circulation: a self-rescheduling executor task.
-  token_done_ = std::make_unique<CountDownLatch>(1);
-  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
-    token_done_->CountDown();
-  }
-
-  // Replication: receiver first, then senders (sharded by destination).
-  if (config_.num_datacenters > 1) {
-    receiver_ = std::make_unique<Receiver>(
-        config_.dc_id, &atable_, [this](GeoRecord r) {
-          // Shed remote records while congested (a partitioned or slow
-          // peer's backlog must not grow the queues without bound): the
-          // origin's sender retransmits them once we make progress.
-          if (Congested()) return false;
-          r.trace.AddHop("receiver", config_.dc_id);
-          SubmitToBatcher(std::move(r));
-          return true;
-        });
-    CHARIOTS_RETURN_IF_ERROR(fabric_->RegisterReceiver(
-        config_.dc_id, [this](DatacenterId from, std::string payload) {
-          receiver_->OnMessage(from, std::move(payload));
-        }));
-
-    std::vector<DatacenterId> others =
-        OtherDatacenters(config_.dc_id, config_.num_datacenters);
+  // Senders (sharded by destination), before anything can run the token:
+  // token steps read senders_ to kick them.
+  std::vector<DatacenterId> others =
+      OtherDatacenters(config_.dc_id, config_.num_datacenters);
+  if (!others.empty()) {
     uint32_t num_senders =
         std::max<uint32_t>(1, std::min<uint32_t>(config_.num_senders,
                                                  others.size()));
@@ -185,6 +143,28 @@ Status Datacenter::Start() {
           config_.dc_id, shard, &local_buffer_, &atable_, fabric_, so));
       senders_.back()->Start();
     }
+  }
+
+  // The token starts parked: the first record a filter forwards wakes it.
+  token_done_ = std::make_unique<CountDownLatch>(1);
+  token_parked_.store(true);
+
+  // The receiver last: remote records may flow as soon as it is registered.
+  if (!others.empty()) {
+    receiver_ = std::make_unique<Receiver>(
+        config_.dc_id, &atable_, [this](GeoRecord r) {
+          // Shed remote records while congested (a partitioned or slow
+          // peer's backlog must not grow the queues without bound): the
+          // origin's sender retransmits them once we make progress.
+          if (Congested()) return false;
+          r.trace.AddHop("receiver", config_.dc_id);
+          SubmitToBatcher(std::move(r));
+          return true;
+        });
+    CHARIOTS_RETURN_IF_ERROR(fabric_->RegisterReceiver(
+        config_.dc_id, [this](DatacenterId from, std::string payload) {
+          receiver_->OnMessage(from, std::move(payload));
+        }));
   }
 
   if (config_.gc_interval_nanos > 0) {
@@ -230,7 +210,7 @@ void Datacenter::Stop() {
   callback_gauges_.clear();
 
   // Upstream first: batchers flush, filters drain, token drains queues.
-  for (auto& b : batchers_) b->Stop();
+  for (auto& b : batchers_) b->FlushAll();
   for (auto& f : filters_) f->inbox->Close();
   // Final inline drain so nothing queued is lost, then seal each strand:
   // after Close() no drain task can touch the stage again.
@@ -240,11 +220,14 @@ void Datacenter::Stop() {
     stage->gate.Close();
   }
   // The token chain observes running_ == false, drains the queues, counts
-  // the latch down, and stops rescheduling itself.
-  if (token_done_ != nullptr &&
-      !token_done_->WaitFor(std::chrono::seconds(30))) {
-    LOG_WARN << "dc" << config_.dc_id
-             << ": token drain timed out; records may be left in queues";
+  // the latch down, and stops rescheduling itself. A parked token is woken
+  // to do so; a running one sees running_ == false before it would park.
+  if (token_done_ != nullptr) {
+    WakeToken();
+    if (!token_done_->WaitFor(std::chrono::seconds(30))) {
+      LOG_WARN << "dc" << config_.dc_id
+               << ": token drain timed out; records may be left in queues";
+    }
   }
   token_gate_.Close();
   for (auto& s : senders_) s->Stop();
@@ -455,6 +438,7 @@ void Datacenter::DrainFilter(FilterStage* stage) {
 }
 
 void Datacenter::TokenStep() {
+  const TOId local_before = token_.max_toid[config_.dc_id];
   size_t appended = 0;
   size_t n = queue_count_.load(std::memory_order_acquire);
   for (size_t q = 0; q < n; ++q) {
@@ -462,30 +446,90 @@ void Datacenter::TokenStep() {
     head_lid_.store(token_.next_lid, std::memory_order_release);
   }
   token_deferred_.store(token_.deferred.size(), std::memory_order_relaxed);
-  if (appended == 0) {
-    if (!running_.load(std::memory_order_relaxed)) {
-      // Drain check: stop once no queue has pending input. Records still
-      // deferred in the token have unsatisfiable dependencies (nothing new
-      // is coming) and are abandoned, matching a shutdown mid-replication.
-      bool idle = true;
-      for (size_t q = 0; q < n; ++q) {
-        idle = idle && queues_[q]->pending() == 0;
-      }
-      if (idle) {
-        token_done_->CountDown();
-        return;
-      }
+  if (appended > 0) {
+    // One kick per step, however many local records it put.
+    if (token_.max_toid[config_.dc_id] != local_before) {
+      for (auto& sender : senders_) sender->Kick();
     }
-    // Idle: poll again in 100µs instead of monopolizing a worker.
-    Executor::TimerToken t = executor_->ScheduleAfter(
-        100'000, token_gate_.Wrap([this] { TokenStep(); }));
-    if (!t.valid()) token_done_->CountDown();  // executor shutting down
+    // Work is flowing: continue immediately (yield the worker between steps).
+    SubmitTokenStep();
     return;
   }
-  // Work is flowing: continue immediately (yield the worker between steps).
-  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
+  if (!running_.load() && QueuesIdle()) {
+    // Drain check: stop once no queue has pending input. Records still
+    // deferred in the token have unsatisfiable dependencies (nothing new
+    // is coming) and are abandoned, matching a shutdown mid-replication.
     token_done_->CountDown();
+    return;
   }
+  // Park. The flag goes up before the flush and the re-check, so a record
+  // racing with parking is either flushed or enqueued here, or its producer
+  // sees the flag and wakes the token; no wake-up is lost. Records the
+  // batchers buffered while the token was busy leave now as one group
+  // commit, and later submits flush inline until the token runs again.
+  token_parked_.store(true);
+  size_t nb = batcher_count_.load(std::memory_order_acquire);
+  for (size_t b = 0; b < nb; ++b) batchers_[b]->FlushAll();
+  if ((!QueuesIdle() || !running_.load()) && token_parked_.exchange(false)) {
+    SubmitTokenStep();
+  }
+}
+
+void Datacenter::SubmitTokenStep() {
+  if (!executor_->Submit(token_gate_.Wrap([this] { TokenStep(); }))) {
+    token_done_->CountDown();  // executor shutting down
+  }
+}
+
+void Datacenter::WakeToken() {
+  // The plain load keeps the common case (token already running) free of
+  // a read-modify-write; the exchange lets exactly one waker resubmit.
+  if (token_parked_.load() && token_parked_.exchange(false)) {
+    SubmitTokenStep();
+  }
+}
+
+bool Datacenter::QueuesIdle() const {
+  size_t n = queue_count_.load(std::memory_order_acquire);
+  for (size_t q = 0; q < n; ++q) {
+    if (queues_[q]->pending() > 0) return false;
+  }
+  return true;
+}
+
+void Datacenter::ForwardToQueue(GeoRecord record) {
+  record.trace.AddHop("filter", config_.dc_id);
+  uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
+  size_t n = queue_count_.load(std::memory_order_acquire);
+  queues_[i % n]->Enqueue(std::move(record));
+  WakeToken();
+}
+
+std::unique_ptr<GeoQueue> Datacenter::MakeQueue(uint32_t id) {
+  return std::make_unique<GeoQueue>(
+      id, &journal_, [this](uint32_t m, GeoRecord r) {
+        r.trace.AddHop("queue", config_.dc_id);
+        RouteToMaintainer(m, std::move(r));
+      });
+}
+
+std::unique_ptr<Datacenter::FilterStage> Datacenter::MakeFilterStage(
+    uint32_t id) {
+  auto stage = std::make_unique<FilterStage>();
+  stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
+      config_.stage_queue_capacity);
+  stage->filter = std::make_unique<Filter>(
+      id, &filter_map_, [this](GeoRecord r) { ForwardToQueue(std::move(r)); });
+  return stage;
+}
+
+std::unique_ptr<Batcher> Datacenter::MakeBatcher() {
+  return std::make_unique<Batcher>(
+      &filter_map_, config_.batcher_flush_records,
+      [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
+        DeliverToFilter(filter_id, std::move(batch));
+      },
+      [this] { return token_parked_.load(); });
 }
 
 void Datacenter::RouteToMaintainer(uint32_t maintainer_index,
@@ -754,17 +798,8 @@ Status Datacenter::SplitFilterChampionship(DatacenterId host, TOId from_toid,
     }
     // Grow the filter stage if the reassignment references new filters.
     while (f >= filters_.size()) {
-      auto stage = std::make_unique<FilterStage>();
-      stage->inbox = std::make_unique<BoundedQueue<std::vector<GeoRecord>>>(
-          config_.stage_queue_capacity);
-      uint32_t id = static_cast<uint32_t>(filters_.size());
-      stage->filter = std::make_unique<Filter>(
-          id, &filter_map_, [this](GeoRecord r) {
-            r.trace.AddHop("filter", config_.dc_id);
-            uint64_t i = queue_rr_.fetch_add(1, std::memory_order_relaxed);
-            queues_[i % queues_.size()]->Enqueue(std::move(r));
-          });
-      filters_.push_back(std::move(stage));
+      filters_.push_back(
+          MakeFilterStage(static_cast<uint32_t>(filters_.size())));
       // No thread to start: the stage's drain strand is scheduled on demand
       // when the first batch arrives.
       filter_count_.store(filters_.size(), std::memory_order_release);
@@ -777,14 +812,7 @@ Status Datacenter::AddBatcher() {
   if (batchers_.size() >= kMaxBatchers) {
     return Status::ResourceExhausted("batcher capacity reached");
   }
-  batchers_.push_back(std::make_unique<Batcher>(
-      &filter_map_, config_.batcher_flush_records,
-      config_.batcher_flush_nanos,
-      [this](uint32_t filter_id, std::vector<GeoRecord> batch) {
-        DeliverToFilter(filter_id, std::move(batch));
-      },
-      executor_));
-  batchers_.back()->Start();
+  batchers_.push_back(MakeBatcher());
   batcher_count_.store(batchers_.size(), std::memory_order_release);
   return Status::OK();
 }
@@ -793,12 +821,7 @@ Status Datacenter::AddQueue() {
   if (queues_.size() >= kMaxQueues) {
     return Status::ResourceExhausted("queue capacity reached");
   }
-  uint32_t id = static_cast<uint32_t>(queues_.size());
-  queues_.push_back(std::make_unique<GeoQueue>(
-      id, &journal_, [this](uint32_t m, GeoRecord r) {
-        r.trace.AddHop("queue", config_.dc_id);
-        RouteToMaintainer(m, std::move(r));
-      }));
+  queues_.push_back(MakeQueue(static_cast<uint32_t>(queues_.size())));
   // Publishing the count both inserts the queue into the token circulation
   // and lets filters start routing records to it.
   queue_count_.store(queues_.size(), std::memory_order_release);

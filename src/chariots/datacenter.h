@@ -35,15 +35,20 @@ namespace chariots::geo {
 /// garbage collection.
 ///
 /// Execution model (DESIGN.md §10): every stage runs as tasks on the shared
-/// executor instead of owning threads. Batcher flush timers are periodic
-/// timer tasks; each filter drains its bounded inbox on a serialized strand
-/// (one drain task at a time, scheduled on demand when batches arrive); the
-/// token circulates as a self-rescheduling task (immediately while work is
-/// flowing, on a 100µs timer when idle) so LId assignment still serializes
-/// through the token exactly as in the paper; appends to the log maintainers
-/// happen inside the token task (in-process FLStore); senders and GC are
-/// periodic timer tasks. Thread count is therefore a function of cores, not
-/// of topology width.
+/// executor instead of owning threads, and the append path is push-driven,
+/// with no timer on it. Each filter drains its bounded inbox on a
+/// serialized strand (one drain task at a time, scheduled on demand when
+/// batches arrive). The token circulates as a self-rescheduling task while
+/// work is flowing, so LId assignment still serializes through the token
+/// exactly as in the paper; when a circulation appends nothing it flushes
+/// the batchers and parks, and the next record a filter forwards wakes it.
+/// While the token is parked a batcher flushes on every submit (linger-0);
+/// while it runs, records gather in the batchers and leave as one group
+/// commit when it parks. Appends to the log maintainers happen inside the
+/// token task (in-process FLStore). A token step that put local records
+/// kicks the senders once; their periodic tick only rewinds and heartbeats.
+/// GC is a periodic timer task. Thread count is therefore a function of
+/// cores, not of topology width.
 class Datacenter {
  public:
   Datacenter(ChariotsConfig config, ReplicationFabric* fabric);
@@ -201,6 +206,15 @@ class Datacenter {
   void ScheduleFilterDrain(FilterStage* stage);
   void DrainFilter(FilterStage* stage);
   void TokenStep();
+  void SubmitTokenStep();
+  /// Resubmits the token if it is parked (filter forwards and Stop()).
+  void WakeToken();
+  /// True when no queue holds records the token has not seen yet.
+  bool QueuesIdle() const;
+  void ForwardToQueue(GeoRecord record);
+  std::unique_ptr<GeoQueue> MakeQueue(uint32_t id);
+  std::unique_ptr<FilterStage> MakeFilterStage(uint32_t id);
+  std::unique_ptr<Batcher> MakeBatcher();
   void RouteToMaintainer(uint32_t maintainer_index, GeoRecord record);
   void SubmitToBatcher(GeoRecord record);
   /// Records buffered in the queues stage awaiting assignment.
@@ -244,10 +258,12 @@ class Datacenter {
   std::atomic<size_t> queue_count_{0};
   Token token_;
   /// The token circulation is a self-rescheduling executor task; the latch
-  /// lets Stop() wait for the shutdown drain (created when the chain is
-  /// first scheduled), and the gate fences the chain after Stop().
+  /// lets Stop() wait for the shutdown drain (created in Start()), and the
+  /// gate fences the chain after Stop(). token_parked_ is up while no step
+  /// is scheduled; whoever lowers it (exchange) submits the next step.
   SerialGate token_gate_;
   std::unique_ptr<CountDownLatch> token_done_;
+  std::atomic<bool> token_parked_{false};
 
   std::vector<std::unique_ptr<flstore::LogMaintainer>> maintainers_;
   flstore::Indexer indexer_;

@@ -155,19 +155,34 @@ Sender::~Sender() { Stop(); }
 void Sender::Start() {
   bool expected = true;
   if (!stop_.compare_exchange_strong(expected, false)) return;
-  // Each firing drains until a tick ships nothing, then waits out the
-  // cadence — the executor equivalent of the old spin-while-busy loop.
-  // Cancel() in Stop() fences the `this` capture.
-  tick_token_ = executor_->ScheduleEvery(options_.tick_nanos, [this] {
-    while (!stop_.load(std::memory_order_relaxed) && Tick() > 0) {
-    }
-  });
+  // The tick rewinds stalled destinations and heartbeats; new records
+  // normally leave on a Kick() before it fires. Cancel() in Stop() fences
+  // the `this` capture.
+  tick_token_ =
+      executor_->ScheduleEvery(options_.tick_nanos, [this] { SendAll(); });
 }
 
 void Sender::Stop() {
   bool expected = false;
   if (!stop_.compare_exchange_strong(expected, true)) return;
   tick_token_.Cancel();
+  kick_gate_.Close();
+}
+
+void Sender::Kick() {
+  if (stop_.load(std::memory_order_acquire)) return;
+  if (kick_scheduled_.exchange(true, std::memory_order_acq_rel)) return;
+  bool submitted = executor_->Submit(kick_gate_.Wrap([this] {
+    // Cleared before sending: records put mid-send get a fresh task.
+    kick_scheduled_.store(false, std::memory_order_release);
+    SendAll();
+  }));
+  if (!submitted) kick_scheduled_.store(false, std::memory_order_release);
+}
+
+void Sender::SendAll() {
+  while (!stop_.load(std::memory_order_relaxed) && Tick() > 0) {
+  }
 }
 
 size_t Sender::Tick() {
@@ -195,7 +210,7 @@ size_t Sender::Tick() {
       dest.sent_upto = acked;
       dest.resend_interval_nanos = std::min(dest.resend_interval_nanos * 2,
                                             options_.resend_max_nanos);
-      rewinds_.fetch_add(1, std::memory_order_relaxed);
+      ++rewinds_;
       RewindsCounter()->Add();
     }
 
@@ -214,8 +229,8 @@ size_t Sender::Tick() {
           dest.last_send_nanos = now;
           dest.last_heartbeat_nanos = now;
           shipped += n;
-          records_sent_.fetch_add(n, std::memory_order_relaxed);
-          batches_sent_.fetch_add(1, std::memory_order_relaxed);
+          records_sent_ += n;
+          ++batches_sent_;
           RecordsSentCounter()->Add(n);
           BatchesSentCounter()->Add();
         }
@@ -230,11 +245,26 @@ size_t Sender::Tick() {
       hb.atable = atable_->Encode();
       if (fabric_->Send(self_, dest.dc, EncodeReplicationBatch(hb)).ok()) {
         dest.last_heartbeat_nanos = now;
-        batches_sent_.fetch_add(1, std::memory_order_relaxed);
+        ++batches_sent_;
       }
     }
   }
   return shipped;
+}
+
+uint64_t Sender::records_sent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return records_sent_;
+}
+
+uint64_t Sender::batches_sent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return batches_sent_;
+}
+
+uint64_t Sender::rewinds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rewinds_;
 }
 
 // ---------------------------------------------------------------- Receiver

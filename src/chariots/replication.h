@@ -72,11 +72,15 @@ class LocalRecordBuffer {
 /// automatically. One Sender instance can own several destinations; a
 /// deployment scales by giving each destination (or destination shard) its
 /// own sender.
+///
+/// Records leave on a Kick(), which the owner calls once new local records
+/// are in the buffer. The periodic tick remains for what needs a clock:
+/// rewinds after an ack stall, and heartbeats.
 class Sender {
  public:
   struct Options {
     size_t batch_records = 256;
-    int64_t tick_nanos = 1'000'000;         ///< send-loop cadence (1 ms)
+    int64_t tick_nanos = 1'000'000;         ///< rewind/heartbeat cadence
     int64_t resend_nanos = 50'000'000;      ///< rewind if unacked (50 ms)
     /// Each consecutive rewind without ack progress doubles the rewind
     /// interval up to this cap; progress resets it to resend_nanos. Keeps a
@@ -84,7 +88,7 @@ class Sender {
     /// (resend_nanos == 0 disables backoff: rewind on every tick.)
     int64_t resend_max_nanos = 1'000'000'000;
     int64_t heartbeat_nanos = 10'000'000;   ///< ATable-only message (10 ms)
-    /// Executor running the periodic send task (null = Executor::Default()).
+    /// Executor running the send tasks (null = Executor::Default()).
     Executor* executor = nullptr;
   };
 
@@ -96,19 +100,31 @@ class Sender {
   ~Sender();
 
   void Start();
+  /// Stops the tick and fences pending kicks: once Stop() returns, no send
+  /// task of this sender runs.
   void Stop();
 
+  /// Ships what the buffer holds now, on an executor task. Concurrent kicks
+  /// collapse into one pending task; a no-op when stopped.
+  void Kick();
+
   /// One pass over all destinations; returns records shipped. Exposed for
-  /// deterministic tests (the periodic executor task just calls this until
-  /// it reports idle).
+  /// deterministic tests (the send tasks just call this until it reports
+  /// idle).
   size_t Tick();
 
-  uint64_t records_sent() const { return records_sent_.load(); }
-  uint64_t batches_sent() const { return batches_sent_.load(); }
+  /// The counters change inside Tick() under the same lock as the send, so
+  /// a reader that already sees a send's effect at the destination (the
+  /// record incorporated there) also sees the send counted.
+  uint64_t records_sent() const;
+  uint64_t batches_sent() const;
   /// Retransmission rewinds performed (ack stalls detected).
-  uint64_t rewinds() const { return rewinds_.load(); }
+  uint64_t rewinds() const;
 
  private:
+  /// Drains Tick() until it ships nothing.
+  void SendAll();
+
   struct DestState {
     DatacenterId dc;
     TOId acked = 0;              // peer's awareness of us, last observed
@@ -126,13 +142,16 @@ class Sender {
   Executor* const executor_;
   Clock* const clock_;
 
-  std::mutex mu_;
-  std::vector<DestState> dests_;
+  mutable std::mutex mu_;
+  std::vector<DestState> dests_;  // guarded by mu_, as are the counters
+  uint64_t records_sent_ = 0;
+  uint64_t batches_sent_ = 0;
+  uint64_t rewinds_ = 0;
   std::atomic<bool> stop_{true};
   Executor::TimerToken tick_token_;
-  std::atomic<uint64_t> records_sent_{0};
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> rewinds_{0};
+  /// Fences kick tasks after Stop(); kick_scheduled_ collapses kicks.
+  SerialGate kick_gate_;
+  std::atomic<bool> kick_scheduled_{false};
 };
 
 /// The receiving half: decodes replication batches from peers, merges the

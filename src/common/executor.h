@@ -93,8 +93,8 @@ class SerialGate {
 /// Shared task executor + timer service (DESIGN.md §10): O(cores) named
 /// worker threads over sharded work-stealing deques, plus a hierarchical
 /// timer driven by the injectable Clock. Every background loop in the
-/// system — batcher flushes, filter drains, token circulation, GC sweeps,
-/// replication ticks, gossip, heartbeats, lease monitors, transport
+/// system — filter drains, token circulation, GC sweeps, replication
+/// sends and ticks, gossip, heartbeats, lease monitors, transport
 /// dispatch — runs here as a task, so the process thread count is a
 /// function of cores, not of topology size.
 ///
@@ -113,7 +113,7 @@ class SerialGate {
 /// no timer thread; AdvanceUntil() fires due timers inline on the calling
 /// thread, in timestamp order, stepping the ManualClock to each deadline —
 /// zero real sleeps, fully deterministic (the executor unit tests and the
-/// converted batcher/lease tests run this way).
+/// converted lease tests run this way).
 class Executor {
  public:
   struct Options {

@@ -324,10 +324,14 @@ void InProcTransport::Deliver(const std::shared_ptr<Inbox>& inbox,
     ++dropped_;
     return;
   }
-  inbox->handler(std::move(msg));
+  // Counted before the handler runs, so a caller woken by the handler
+  // already sees this delivery in messages_delivered() and the registry.
   DeliveredCounter()->Add();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++delivered_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++delivered_;
+  }
+  inbox->handler(std::move(msg));
 }
 
 void InProcTransport::SetLink(const std::string& src_prefix,

@@ -659,16 +659,23 @@ void TcpTransport::Shutdown() {
   if (lfd >= 0) ::close(lfd);  // close also deregisters it from epoll
 
   std::vector<std::shared_ptr<Conn>> all;
+  std::vector<IoThread*> ios;
   {
     std::lock_guard<std::mutex> lock(io_mu_);
     for (auto& io : io_threads_) {
       io->stop.store(true, std::memory_order_release);
       uint64_t one = 1;
       (void)!::write(io->wakeup_fd, &one, sizeof(one));
+      ios.push_back(io.get());
     }
-    for (auto& io : io_threads_) {
-      if (io->thread.joinable()) io->thread.join();
-    }
+  }
+  // Joined without io_mu_: a reactor takes it on start-up and when it
+  // adopts an accepted connection, so joining under it could deadlock.
+  for (IoThread* io : ios) {
+    if (io->thread.joinable()) io->thread.join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(io_mu_);
     for (auto& io : io_threads_) {
       for (auto& [_, conn] : io->conns) {
         {

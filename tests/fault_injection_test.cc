@@ -493,7 +493,6 @@ class GeoFaultCluster {
       geo::ChariotsConfig config = base;
       config.dc_id = d;
       config.num_datacenters = n;
-      config.batcher_flush_nanos = 200'000;     // 0.2 ms
       config.sender_resend_nanos = 10'000'000;  // 10 ms
       config.sender_resend_max_nanos = 40'000'000;
       dcs_.push_back(

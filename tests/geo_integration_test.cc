@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -12,9 +13,11 @@
 #include "chariots/datacenter.h"
 #include "chariots/fabric.h"
 #include "chariots/geo_service.h"
+#include "common/clock.h"
 #include "common/executor.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
@@ -41,7 +44,6 @@ class GeoCluster {
       ChariotsConfig config = base;
       config.dc_id = d;
       config.num_datacenters = n;
-      config.batcher_flush_nanos = 200'000;    // 0.2 ms: fast tests
       config.sender_resend_nanos = 20'000'000; // 20 ms
       dcs_.push_back(std::make_unique<Datacenter>(config, fabric_.get()));
       EXPECT_TRUE(dcs_.back()->Start().ok());
@@ -351,7 +353,6 @@ TEST(GeoIntegrationTest, SubscribersSeeEveryRecordInLidOrder) {
     ChariotsConfig config;
     config.dc_id = d;
     config.num_datacenters = 2;
-    config.batcher_flush_nanos = 200'000;
     dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
     dcs[d]->Subscribe([&, d](const GeoRecord& r) {
       std::lock_guard<std::mutex> lock(mu);
@@ -581,7 +582,6 @@ TEST(GeoIntegrationTest, ReplicationOverRealTcp) {
   ChariotsConfig c0;
   c0.dc_id = 0;
   c0.num_datacenters = 2;
-  c0.batcher_flush_nanos = 200'000;
   ChariotsConfig c1 = c0;
   c1.dc_id = 1;
   Datacenter dc0(c0, &fabric0);
@@ -647,6 +647,116 @@ TEST(GeoIntegrationTest, ReadByToidAfterGc) {
   auto r = cluster.dc(0).ReadByToid(0, 7);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->body, "post-gc");
+}
+
+// ------------------------------------------------- push-driven append path
+//
+// These run on a virtual-time executor whose clock never advances: no timer
+// fires, so whatever completes was pushed through the pipeline by wake-ups.
+
+TEST(PushPipelineTest, AppendReachesBothDatacentersWithoutTimers) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "push-vt", .manual_clock = &clock});
+  DirectFabric fabric;
+  std::vector<std::unique_ptr<Datacenter>> dcs;
+  for (uint32_t d = 0; d < 2; ++d) {
+    ChariotsConfig config;
+    config.dc_id = d;
+    config.num_datacenters = 2;
+    config.executor = &exec;
+    dcs.push_back(std::make_unique<Datacenter>(config, &fabric));
+    ASSERT_TRUE(dcs.back()->Start().ok());
+  }
+  for (uint32_t d = 0; d < 2; ++d) {
+    ChariotsClient client(dcs[d].get());
+    auto r = client.Append("from dc" + std::to_string(d));
+    ASSERT_TRUE(r.ok()) << r.status();
+    for (auto& dc : dcs) {
+      EXPECT_TRUE(dc->WaitForToid(d, 1, kWaitNanos))
+          << "dc" << dc->dc_id() << " lacks dc" << d << "'s record";
+    }
+  }
+  EXPECT_EQ(clock.NowNanos(), 0);
+  for (auto& dc : dcs) dc->Stop();
+}
+
+TEST(PushPipelineTest, RecordsSubmittedWhileTokenBusyLeaveAsOneBatch) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "push-vt", .manual_clock = &clock});
+  DirectFabric fabric;
+  ChariotsConfig config;
+  config.executor = &exec;
+  Datacenter dc(config, &fabric);
+  // The subscriber runs inside the token step: holding it on the first
+  // record keeps the token busy while more records arrive.
+  CountDownLatch entered(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  dc.Subscribe([&](const GeoRecord& r) {
+    if (r.toid != 1) return;
+    entered.CountDown();
+    released.wait();
+  });
+  ASSERT_TRUE(dc.Start().ok());
+  dc.Append("first", {}, {});
+  entered.Wait();
+  constexpr uint64_t kBusy = 10;  // below batcher_flush_records
+  for (uint64_t i = 0; i < kBusy; ++i) dc.Append("busy", {}, {});
+  const uint64_t flushed_while_busy = dc.GetStats().batches_flushed;
+  release.set_value();
+  EXPECT_EQ(flushed_while_busy, 1u) << "records left while the token ran";
+  ASSERT_TRUE(dc.WaitForToid(0, kBusy + 1, kWaitNanos));
+  Datacenter::Stats s = dc.GetStats();
+  EXPECT_EQ(s.records_incorporated, kBusy + 1);
+  EXPECT_EQ(s.filter_forwarded, kBusy + 1);
+  // The first record alone, then the ten in one group commit on parking.
+  EXPECT_EQ(s.batches_flushed, 2u);
+  EXPECT_LT(s.batches_flushed, s.batcher_records_in);
+  dc.Stop();
+}
+
+}  // namespace
+
+class DatacenterTestPeer {
+ public:
+  static bool TokenParked(const Datacenter& dc) {
+    return dc.token_parked_.load();
+  }
+  static bool TokenDone(const Datacenter& dc) {
+    return dc.token_done_->WaitFor(std::chrono::nanoseconds(0));
+  }
+};
+
+namespace {
+
+TEST(PushPipelineTest, StopWakesParkedTokenToDrain) {
+  ManualClock clock;
+  Executor exec({.num_threads = 2, .name = "push-vt", .manual_clock = &clock});
+  DirectFabric fabric;
+  // Without a late record nothing but Stop() can wake the token; with one,
+  // the record still in flight when Stop() begins is drained, not dropped.
+  for (bool late : {false, true}) {
+    SCOPED_TRACE(late ? "record in flight" : "nothing in flight");
+    ChariotsConfig config;
+    config.executor = &exec;
+    Datacenter dc(config, &fabric);
+    ASSERT_TRUE(dc.Start().ok());
+    EXPECT_TRUE(DatacenterTestPeer::TokenParked(dc));
+    ChariotsClient client(&dc);
+    ASSERT_TRUE(client.Append("a").ok());
+    // The step that appended resubmits the token, which then finds nothing
+    // and parks; WaitIdle returns only after that.
+    exec.WaitIdle();
+    ASSERT_TRUE(DatacenterTestPeer::TokenParked(dc));
+    EXPECT_FALSE(DatacenterTestPeer::TokenDone(dc));
+    if (late) dc.Append("late", {}, {});
+    int64_t start = SystemClock::Default()->NowNanos();
+    dc.Stop();
+    // Stop() allows the drain 30 s; a woken token finishes at once.
+    EXPECT_LT(SystemClock::Default()->NowNanos() - start, kWaitNanos);
+    EXPECT_TRUE(DatacenterTestPeer::TokenDone(dc));
+    EXPECT_EQ(dc.HeadLid(), late ? 2u : 1u);
+  }
 }
 
 // ------------------------------------------------------- causality property

@@ -106,10 +106,10 @@ TEST(FilterMapTest, NextChampionedCrossesReassignment) {
 TEST(BatcherTest, FlushesAtThreshold) {
   FilterMap map(2, 2);
   std::map<uint32_t, size_t> received;
-  Batcher batcher(&map, 3, 1'000'000'000, [&](uint32_t f,
-                                              std::vector<GeoRecord> b) {
-    received[f] += b.size();
-  });
+  Batcher batcher(
+      &map, 3,
+      [&](uint32_t f, std::vector<GeoRecord> b) { received[f] += b.size(); },
+      [] { return false; });
   // 6 records for DC0 (filter 0): two flushes of 3.
   for (TOId t = 1; t <= 6; ++t) batcher.Submit(Rec(0, t));
   EXPECT_EQ(received[0], 6u);
@@ -122,33 +122,38 @@ TEST(BatcherTest, FlushesAtThreshold) {
   EXPECT_EQ(received[1], 2u);
 }
 
-TEST(BatcherTest, TimerFlushesSparseTraffic) {
-  // Virtual time: the flush timer is a periodic executor task, so advancing
-  // the ManualClock fires it deterministically — no real sleeps, no polling.
-  ManualClock clock;
-  Executor exec({.num_threads = 2, .name = "bt-virt", .manual_clock = &clock});
+TEST(BatcherTest, IdleFlushesEverySubmit) {
+  // Linger-0 group commit, with no timer: while the downstream reports idle
+  // every Submit leaves at once; while it is busy records gather, and the
+  // first Submit that finds it idle again takes them along in one batch.
   FilterMap map(1, 1);
-  std::atomic<size_t> received{0};
+  bool idle = true;
+  size_t received = 0;
   Batcher batcher(
-      &map, 1000, 2'000'000 /* 2 ms */,
+      &map, 1000,
       [&](uint32_t, std::vector<GeoRecord> b) { received += b.size(); },
-      &exec);
-  batcher.Start();
+      [&] { return idle; });
   batcher.Submit(Rec(0, 1));
-  exec.AdvanceBy(1'000'000);  // 1 ms: below the interval, nothing flushes
-  EXPECT_EQ(received.load(), 0u);
-  exec.AdvanceBy(1'500'000);  // past the 2 ms interval: timer fires inline
-  EXPECT_EQ(received.load(), 1u);
-  batcher.Stop();
+  EXPECT_EQ(received, 1u);
+  idle = false;
+  batcher.Submit(Rec(0, 2));
+  batcher.Submit(Rec(0, 3));
+  EXPECT_EQ(received, 1u);
+  idle = true;
+  batcher.Submit(Rec(0, 4));
+  EXPECT_EQ(received, 4u);
+  EXPECT_EQ(batcher.batches_out(), 2u);
 }
 
 TEST(BatcherTest, RoutesByChampion) {
   FilterMap map(2, 2);
   std::map<uint32_t, std::vector<TOId>> by_filter;
-  Batcher batcher(&map, 1, 1'000'000'000,
-                  [&](uint32_t f, std::vector<GeoRecord> b) {
-                    for (auto& r : b) by_filter[f].push_back(r.toid);
-                  });
+  Batcher batcher(
+      &map, 1,
+      [&](uint32_t f, std::vector<GeoRecord> b) {
+        for (auto& r : b) by_filter[f].push_back(r.toid);
+      },
+      [] { return false; });
   batcher.Submit(Rec(0, 1));
   batcher.Submit(Rec(1, 1));
   batcher.Submit(Rec(0, 2));
@@ -159,23 +164,30 @@ TEST(BatcherTest, RoutesByChampion) {
 TEST(BatcherTest, ConcurrentSubmitAndFlushAllDeliverExactlyOnce) {
   // Regression for Submit flushing at most one filter per call: under a
   // FlushAll race several buffers can sit at/over threshold; Submit now
-  // loops flushing every over-threshold buffer. Whatever the interleaving,
+  // loops flushing every over-threshold buffer. The flusher also toggles
+  // the idle signal, so idle flushes race too. Whatever the interleaving,
   // each record must be delivered exactly once.
   FilterMap map(4, 4);
   std::mutex mu;
   std::map<std::pair<uint32_t, TOId>, int> seen;
   std::atomic<uint64_t> delivered{0};
-  Batcher batcher(&map, 8, 1'000'000'000,
-                  [&](uint32_t, std::vector<GeoRecord> b) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    for (auto& r : b) ++seen[{r.host, r.toid}];
-                    delivered += b.size();
-                  });
+  std::atomic<bool> idle{false};
+  Batcher batcher(
+      &map, 8,
+      [&](uint32_t, std::vector<GeoRecord> b) {
+        std::lock_guard<std::mutex> lock(mu);
+        for (auto& r : b) ++seen[{r.host, r.toid}];
+        delivered += b.size();
+      },
+      [&] { return idle.load(); });
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 3000;
   std::atomic<bool> stop{false};
   std::thread flusher([&] {
-    while (!stop.load(std::memory_order_relaxed)) batcher.FlushAll();
+    while (!stop.load(std::memory_order_relaxed)) {
+      idle.store(!idle.load());
+      batcher.FlushAll();
+    }
   });
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {

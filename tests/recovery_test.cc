@@ -424,7 +424,6 @@ class DatacenterRecoveryTest : public ::testing::Test {
     config.stripe_batch = 3;
     config.store_mode = storage::SyncMode::kBuffered;
     config.store_dir = (dir_ / ("dc" + std::to_string(dc_id))).string();
-    config.batcher_flush_nanos = 200'000;
     return config;
   }
 
