@@ -19,8 +19,8 @@
 #include "chariots/record.h"
 #include "chariots/replication.h"
 #include "common/executor.h"
+#include "common/latch.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/queue.h"
 #include "common/trace.h"
 #include "common/watchdog.h"

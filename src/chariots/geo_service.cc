@@ -3,10 +3,9 @@
 #include <condition_variable>
 
 #include "common/codec.h"
-#include "common/flight_recorder.h"
-#include "common/metrics.h"
 #include "common/trace.h"
-#include "flstore/service.h"
+#include "flstore/indexer.h"
+#include "net/admin.h"
 
 namespace chariots::geo {
 
@@ -47,48 +46,16 @@ GeoServer::GeoServer(net::Transport* transport, net::NodeId node,
     : dc_(dc),
       options_(std::move(options)),
       endpoint_(transport, node),
-      watchdog_(WatchdogConfig(node)) {}
-
-Watchdog::Options GeoServer::WatchdogConfig(const net::NodeId& node) {
-  Watchdog::Options wd;
-  wd.node = node;
-  wd.clock = options_.clock;
-  if (options_.watchdog_interval_nanos > 0) {
-    wd.tick_interval_nanos = options_.watchdog_interval_nanos;
-  }
-  wd.on_breach = [this](const HealthReport& report) {
-    OnWatchdogBreach(report);
-  };
-  return wd;
-}
-
-void GeoServer::OnWatchdogBreach(const HealthReport&) {
-  std::string dump = flightrec::Recorder::Default().Dump();
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_breach_dump_ = std::move(dump);
-  }
-  if (!options_.breach_dump_path.empty()) {
-    (void)flightrec::Recorder::Default().DumpToFile(options_.breach_dump_path);
-  }
-}
-
-std::string GeoServer::LastBreachDump() const {
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  return last_breach_dump_;
-}
+      watchdog_({.node = node,
+                 .clock = options_.clock,
+                 .tick_interval_nanos = options_.watchdog_interval_nanos,
+                 .breach_dump_path = options_.breach_dump_path}) {}
 
 GeoServer::~GeoServer() { Stop(); }
 
 Status GeoServer::Start() {
-  // Keep the metric family set identical across roles: a datacenter's
-  // metrics dump carries the chariots.flstore.repl.* families at zero even
-  // though replication runs in MaintainerServer, so the same dashboards
-  // and `chariots_cli metrics` prefixes work against every node.
-  flstore::RegisterReplicationMetrics();
-  RegisterHealthMetrics();
-  flightrec::RegisterFlightRecorderMetrics();
   dc_->RegisterWatchdogProbes(&watchdog_);
+  net::ServeAdmin(&endpoint_, &watchdog_);
   endpoint_.Handle(kGeoAppend, [this](const net::NodeId&,
                                       const std::string& payload)
                                    -> Result<std::string> {
@@ -199,58 +166,6 @@ Status GeoServer::Start() {
     return EncodeRecordWithLid(record);
   });
 
-  endpoint_.Handle(kGeoMetrics, [](const net::NodeId&, const std::string&)
-                                    -> Result<std::string> {
-    return metrics::RenderJson(metrics::Registry::Default().Snapshot());
-  });
-
-  endpoint_.Handle(kGeoTrace, [](const net::NodeId&,
-                                 const std::string& payload)
-                                  -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    std::vector<trace::TraceContext> traces =
-        trace::TraceSink::Default().Traces();
-    if (mode == 1) {
-      // Critical-path mode: render the per-stage breakdown server-side so
-      // the CLI needs no access to the span wire format.
-      std::string out;
-      for (const trace::TraceContext& ctx : traces) {
-        out += trace::RenderCriticalPath(ctx);
-        out += '\n';
-      }
-      if (out.empty()) out = "no sampled traces recorded yet\n";
-      return out;
-    }
-    return trace::RenderTracesJson(traces);
-  });
-
-  endpoint_.Handle(kGeoHealth, [this](const net::NodeId&, const std::string&)
-                                   -> Result<std::string> {
-    return RenderHealthJson(watchdog_.TickOnce());
-  });
-
-  endpoint_.Handle(kGeoFlightRec, [this](const net::NodeId&,
-                                         const std::string& payload)
-                                      -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    if (mode == 1) {
-      std::string dump = LastBreachDump();
-      if (dump.empty()) {
-        return Status::NotFound("no watchdog breach has fired yet");
-      }
-      return dump;
-    }
-    return flightrec::Recorder::Default().Dump();
-  });
-
   CHARIOTS_RETURN_IF_ERROR(endpoint_.Start());
   if (options_.watchdog_interval_nanos > 0) {
     watchdog_.Start(options_.executor);
@@ -348,30 +263,6 @@ Result<flstore::LId> GeoRpcClient::Head() {
   flstore::LId head = 0;
   CHARIOTS_RETURN_IF_ERROR(r.GetU64(&head));
   return head;
-}
-
-Result<std::string> GeoRpcClient::Metrics() {
-  return endpoint_.Call(server_, kGeoMetrics, "");
-}
-
-Result<std::string> GeoRpcClient::Trace() {
-  return endpoint_.Call(server_, kGeoTrace, "");
-}
-
-Result<std::string> GeoRpcClient::TraceCriticalPath() {
-  BinaryWriter w;
-  w.PutU8(1);
-  return endpoint_.Call(server_, kGeoTrace, std::move(w).data());
-}
-
-Result<std::string> GeoRpcClient::Health() {
-  return endpoint_.Call(server_, kGeoHealth, "");
-}
-
-Result<std::string> GeoRpcClient::FlightRec(uint8_t mode) {
-  BinaryWriter w;
-  w.PutU8(mode);
-  return endpoint_.Call(server_, kGeoFlightRec, std::move(w).data());
 }
 
 Result<std::vector<GeoRecord>> GeoRpcClient::ReadRange(flstore::LId from,

@@ -13,37 +13,31 @@ namespace chariots::geo {
 
 /// RPC opcodes for the datacenter's client-facing service. (Replication
 /// between datacenters uses the fabric directly; these opcodes are for
-/// application clients running outside the datacenter process.)
+/// application clients running outside the datacenter process.) The same
+/// endpoint also serves the admin opcodes of net/admin.h.
 enum GeoOpcode : uint16_t {
   kGeoAppend = 50,     ///< body + tags + deps -> toid + lid (waits durable)
   kGeoRead = 51,       ///< u64 lid -> encoded GeoRecord + lid
   kGeoHead = 52,       ///< () -> u64 head lid
   kGeoLookup = 53,     ///< IndexQuery -> postings
   kGeoReadByToid = 54, ///< u32 host + u64 toid -> encoded GeoRecord + lid
-  kGeoMetrics = 55,    ///< () -> process metrics snapshot as JSON
-  kGeoTrace = 56,      ///< optional u8 mode -> traces (0/empty = JSON,
-                       ///< 1 = per-record critical-path text)
   /// Batched range read: u64 from + u32 limit -> u32 n + n × (record +
   /// lid). N sequential reads cost one round trip instead of N.
   kGeoReadRange = 57,
-  /// () -> health-report JSON: one on-demand watchdog tick over the
-  /// datacenter's pipeline probes (filter inboxes, pending backlog).
-  kGeoHealth = 58,
-  /// u8 mode -> raw flight-recorder dump (0/empty = live snapshot, 1 = the
-  /// snapshot taken at the last watchdog breach; kNotFound if none).
-  kGeoFlightRec = 59,
 };
 
 /// Observability knobs for GeoServer (all default-off, preserving existing
 /// deployments byte for byte).
 struct GeoServerOptions {
-  /// Health-watchdog tick period (0 = on-demand via kGeoHealth only).
+  /// Health-watchdog tick period (0 = on-demand via the admin health RPC
+  /// only). The watchdog's probes cover the datacenter's pipeline (filter
+  /// inboxes, pending backlog).
   int64_t watchdog_interval_nanos = 0;
   /// Executor for the periodic watchdog tick (null = Executor::Default()).
   Executor* executor = nullptr;
   /// Clock for health-report timestamps (null = system).
   Clock* clock = nullptr;
-  /// Breach-hook dump destination ("" = in-memory snapshot only).
+  /// Breach-snapshot file ("" = in-memory snapshot only).
   std::string breach_dump_path;
 };
 
@@ -62,20 +56,11 @@ class GeoServer {
 
   Watchdog& watchdog() { return watchdog_; }
 
-  /// Flight-recorder snapshot taken at the last watchdog breach ("" if no
-  /// breach has fired).
-  std::string LastBreachDump() const;
-
  private:
-  Watchdog::Options WatchdogConfig(const net::NodeId& node);
-  void OnWatchdogBreach(const HealthReport& report);
-
   Datacenter* const dc_;
   GeoServerOptions options_;
   net::RpcEndpoint endpoint_;
   Watchdog watchdog_;
-  mutable std::mutex dump_mu_;
-  std::string last_breach_dump_;
 };
 
 /// Remote-process counterpart of ChariotsClient: the same append/read
@@ -114,24 +99,6 @@ class GeoRpcClient {
   Result<GeoRecord> ReadMostRecent(const std::string& tag_key,
                                    flstore::LId before_lid =
                                        flstore::kInvalidLId);
-
-  /// The server process's metrics snapshot, rendered as JSON.
-  Result<std::string> Metrics();
-
-  /// The server process's sampled record traces, rendered as JSON.
-  Result<std::string> Trace();
-
-  /// The server process's sampled traces as per-record critical-path
-  /// breakdowns (one RenderCriticalPath block per trace).
-  Result<std::string> TraceCriticalPath();
-
-  /// One on-demand watchdog tick at the server, as health-report JSON.
-  Result<std::string> Health();
-
-  /// Raw flight-recorder dump bytes from the server process (decode with
-  /// flightrec::Recorder::Decode). Mode 1 asks for the snapshot taken at
-  /// the last watchdog breach instead of a live one.
-  Result<std::string> FlightRec(uint8_t mode = 0);
 
  private:
   void Absorb(const GeoRecord& record);

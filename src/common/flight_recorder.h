@@ -113,7 +113,7 @@ class Recorder {
   std::string Dump() const;
 
   /// Writes Dump() to `path` (truncating). Used by the crash handler and
-  /// the watchdog breach hook.
+  /// the watchdog's breach snapshot.
   Status DumpToFile(const std::string& path) const;
 
   /// Decodes a dump produced by Dump(). Truncated, bit-flipped, or

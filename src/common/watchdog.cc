@@ -217,7 +217,7 @@ void Watchdog::Stop() { tick_timer_.Cancel(); }
 
 HealthReport Watchdog::TickOnce() {
   HealthReport report;
-  std::function<void(const HealthReport&)> hook;
+  bool dump_due = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++ticks_;
@@ -251,22 +251,35 @@ HealthReport Watchdog::TickOnce() {
     }
     report.breaches = breaches_;
     last_report_ = report;
-    if (!report.healthy && options_.on_breach != nullptr) {
-      bool due = !hook_fired_ ||
-                 report.now_nanos - last_hook_nanos_ >=
-                     options_.breach_hook_min_interval_nanos;
-      if (due) {
-        hook = options_.on_breach;
-        hook_fired_ = true;
-        last_hook_nanos_ = report.now_nanos;
+    if (!report.healthy) {
+      dump_due = !dumped_ || report.now_nanos - last_dump_nanos_ >=
+                                 options_.breach_dump_min_interval_nanos;
+      if (dump_due) {
+        dumped_ = true;
+        last_dump_nanos_ = report.now_nanos;
       }
     }
   }
-  if (hook != nullptr) {
-    hook(report);
+  if (dump_due) {
+    // Snapshot first: the breach window is still in the rings right now,
+    // and the file write below records more events over it.
+    std::string dump = flightrec::Recorder::Default().Dump();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      breach_dump_ = std::move(dump);
+    }
+    if (!options_.breach_dump_path.empty()) {
+      (void)flightrec::Recorder::Default().DumpToFile(
+          options_.breach_dump_path);
+    }
     DumpsCounter()->Add();
   }
   return report;
+}
+
+std::string Watchdog::LastBreachDump() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return breach_dump_;
 }
 
 HealthReport Watchdog::LastReport() const {

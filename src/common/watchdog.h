@@ -29,9 +29,10 @@ namespace chariots {
 /// A probe must breach on `trip_ticks` consecutive ticks before it is
 /// reported (default 2: one slow tick is noise, two is a signal). Every
 /// reported breach increments the `chariots.health.*` families, logs a
-/// rate-limited warning, records a flight-recorder event, and — through the
-/// `on_breach` hook — typically triggers a flight-recorder dump so the
-/// events leading up to the breach are preserved.
+/// rate-limited warning and records a flight-recorder event; the watchdog
+/// then snapshots the flight recorder (rate-limited), so the events leading
+/// up to the breach survive ring wrap. The admin flightrec RPC serves that
+/// snapshot (net/admin.h).
 
 /// One probe's contribution to a health report.
 struct ProbeReport {
@@ -43,7 +44,7 @@ struct ProbeReport {
   std::string detail;    // human-readable one-liner
 };
 
-/// Structured health report: what `/healthz`, the kHealth RPC, and
+/// Structured health report: what `/healthz`, the admin health RPC, and
 /// `chariots_cli health` all serve (as JSON via RenderHealthJson).
 struct HealthReport {
   std::string node;
@@ -63,15 +64,16 @@ class Watchdog {
     std::string node;
     /// Clock for report timestamps and dump rate-limiting (null = system).
     Clock* clock = nullptr;
-    /// Probe evaluation period when Start() is called.
+    /// Probe evaluation period once Start() is called (unused before).
     int64_t tick_interval_nanos = 100'000'000;  // 100 ms
     /// Consecutive breaching ticks before a probe reports a breach.
     int trip_ticks = 2;
-    /// Invoked (outside the watchdog lock) after any tick that reports at
-    /// least one breach — the flight-recorder dump hook. Rate-limited to
-    /// one invocation per `breach_hook_min_interval_nanos`.
-    std::function<void(const HealthReport&)> on_breach;
-    int64_t breach_hook_min_interval_nanos = 1'000'000'000;  // 1 s
+    /// After any tick that reports at least one breach, the watchdog
+    /// snapshots the flight recorder (LastBreachDump) and, when this is
+    /// set, also writes the snapshot to this file. Rate-limited to one
+    /// snapshot per `breach_dump_min_interval_nanos`.
+    std::string breach_dump_path;
+    int64_t breach_dump_min_interval_nanos = 1'000'000'000;  // 1 s
   };
 
   explicit Watchdog(Options options);
@@ -112,11 +114,15 @@ class Watchdog {
   void Stop();
 
   /// Evaluates every probe once and returns the report. This is both the
-  /// timer body and the direct drive for tests and the kHealth RPC.
+  /// timer body and the direct drive for tests and the admin health RPC.
   HealthReport TickOnce();
 
   /// Most recent report (empty before the first tick).
   HealthReport LastReport() const;
+
+  /// Flight-recorder snapshot taken at the last reported breach ("" if no
+  /// breach has been reported yet).
+  std::string LastBreachDump() const;
 
   /// Probe-breach-ticks reported since construction.
   uint64_t breaches() const;
@@ -135,8 +141,9 @@ class Watchdog {
   HealthReport last_report_;
   uint64_t ticks_ = 0;
   uint64_t breaches_ = 0;
-  int64_t last_hook_nanos_ = 0;
-  bool hook_fired_ = false;
+  int64_t last_dump_nanos_ = 0;
+  bool dumped_ = false;
+  std::string breach_dump_;
   Executor::TimerToken tick_timer_;
 };
 

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/watchdog.h"
+#include "net/admin.h"
 
 namespace chariots::flstore {
 
@@ -225,38 +226,10 @@ MaintainerServer::MaintainerServer(net::Transport* transport,
                                   options_.dedup_disk_faults}),
       replica_(&repl_endpoint_, options_.replica),
       peers_(options_.peers),
-      watchdog_(WatchdogConfig()) {}
-
-Watchdog::Options MaintainerServer::WatchdogConfig() {
-  Watchdog::Options wd;
-  wd.node = options_.node;
-  wd.clock = options_.clock;
-  if (options_.watchdog_interval_nanos > 0) {
-    wd.tick_interval_nanos = options_.watchdog_interval_nanos;
-  }
-  wd.on_breach = [this](const HealthReport& report) {
-    OnWatchdogBreach(report);
-  };
-  return wd;
-}
-
-void MaintainerServer::OnWatchdogBreach(const HealthReport&) {
-  // Snapshot first: the breach window is still in the rings right now, and
-  // anything else we do (logging, file IO) records more events over it.
-  std::string dump = flightrec::Recorder::Default().Dump();
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_breach_dump_ = std::move(dump);
-  }
-  if (!options_.breach_dump_path.empty()) {
-    (void)flightrec::Recorder::Default().DumpToFile(options_.breach_dump_path);
-  }
-}
-
-std::string MaintainerServer::LastBreachDump() const {
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  return last_breach_dump_;
-}
+      watchdog_({.node = options_.node,
+                 .clock = options_.clock,
+                 .tick_interval_nanos = options_.watchdog_interval_nanos,
+                 .breach_dump_path = options_.breach_dump_path}) {}
 
 MaintainerServer::~MaintainerServer() { Stop(); }
 
@@ -264,8 +237,6 @@ Status MaintainerServer::Start() {
   CHARIOTS_RETURN_IF_ERROR(maintainer_.Open());
   CHARIOTS_RETURN_IF_ERROR(dedup_.Open());
   RegisterReplicationMetrics();
-  RegisterHealthMetrics();
-  flightrec::RegisterFlightRecorderMetrics();
   // Probe names embed the node id, so a /healthz report in a multi-stripe
   // deployment names the slow stripe, not just "a latency breach".
   watchdog_.AddLatencyProbe(
@@ -295,7 +266,7 @@ Status MaintainerServer::Start() {
   }
   if (options_.watchdog_interval_nanos > 0) {
     // The gossip progress probe only makes sense against a steady tick
-    // cadence slower than the gossip period — on-demand kHealth ticks can
+    // cadence slower than the gossip period — on-demand health ticks can
     // land closer together than one gossip interval and would false-alarm.
     if (options_.peers.size() > 1 &&
         options_.watchdog_interval_nanos >= options_.gossip_interval_nanos) {
@@ -835,31 +806,7 @@ void MaintainerServer::InstallHandlers() {
     return std::string();
   });
 
-  // On-demand health: one watchdog tick, served as JSON. Works on
-  // deployments that never armed the periodic tick (watchdog_interval 0).
-  endpoint_.Handle(kHealth, [this](const net::NodeId&, const std::string&)
-                               -> Result<std::string> {
-    return RenderHealthJson(watchdog_.TickOnce());
-  });
-  // Flight-recorder snapshot: mode 0 / empty = dump the rings now, mode 1 =
-  // the snapshot the watchdog took at the last breach (kNotFound if none).
-  endpoint_.Handle(kFlightRec, [this](const net::NodeId&,
-                                      const std::string& payload)
-                                   -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    if (mode == 1) {
-      std::string dump = LastBreachDump();
-      if (dump.empty()) {
-        return Status::NotFound("no watchdog breach has fired yet");
-      }
-      return dump;
-    }
-    return flightrec::Recorder::Default().Dump();
-  });
+  net::ServeAdmin(&endpoint_, &watchdog_);
 
   // Layout change from the controller: stripe `index` has a new
   // coordinator.
@@ -1038,11 +985,13 @@ void MaintainerServer::PublishPostings(const LogRecord& record, LId lid) {
 // ------------------------------------------------------------------ indexer
 
 IndexerServer::IndexerServer(net::Transport* transport, net::NodeId node)
-    : endpoint_(transport, std::move(node)) {}
+    : endpoint_(transport, node),
+      watchdog_({.node = std::move(node), .breach_dump_path = ""}) {}
 
 IndexerServer::~IndexerServer() { Stop(); }
 
 Status IndexerServer::Start() {
+  net::ServeAdmin(&endpoint_, &watchdog_);
   endpoint_.Handle(kIndexLookup, [this](const net::NodeId&,
                                         const std::string& payload)
                                      -> Result<std::string> {
@@ -1076,70 +1025,22 @@ ControllerServer::ControllerServer(net::Transport* transport,
       node_(node),
       endpoint_(transport, std::move(node)),
       leader_lease_(options_.controller.clock, options_.leader_lease_nanos),
-      watchdog_(WatchdogConfig()) {}
-
-Watchdog::Options ControllerServer::WatchdogConfig() {
-  Watchdog::Options wd;
-  wd.node = node_;
-  wd.clock = options_.controller.clock;
-  if (options_.watchdog_interval_nanos > 0) {
-    wd.tick_interval_nanos = options_.watchdog_interval_nanos;
-  }
-  wd.on_breach = [this](const HealthReport& report) {
-    OnWatchdogBreach(report);
-  };
-  return wd;
-}
-
-void ControllerServer::OnWatchdogBreach(const HealthReport&) {
-  std::string dump = flightrec::Recorder::Default().Dump();
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_breach_dump_ = std::move(dump);
-  }
-  if (!options_.breach_dump_path.empty()) {
-    (void)flightrec::Recorder::Default().DumpToFile(options_.breach_dump_path);
-  }
-}
-
-std::string ControllerServer::LastBreachDump() const {
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  return last_breach_dump_;
-}
+      watchdog_({.node = node_,
+                 .clock = options_.controller.clock,
+                 .tick_interval_nanos = options_.watchdog_interval_nanos,
+                 .breach_dump_path = options_.breach_dump_path}) {}
 
 ControllerServer::~ControllerServer() { Stop(); }
 
 Status ControllerServer::Start() {
   CHARIOTS_RETURN_IF_ERROR(controller_.Open());
   RegisterControllerMetrics();
-  RegisterHealthMetrics();
-  flightrec::RegisterFlightRecorderMetrics();
   // Election churn: a healthy cluster elects rarely; a flapping leader (or
   // dueling candidates on a lossy link) elects every lease period.
   watchdog_.AddRateProbe(
       node_ + ".elections", [] { return ElectionsCounter()->Value(); },
       options_.max_elections_per_tick);
-  endpoint_.Handle(kHealth, [this](const net::NodeId&, const std::string&)
-                               -> Result<std::string> {
-    return RenderHealthJson(watchdog_.TickOnce());
-  });
-  endpoint_.Handle(kFlightRec, [this](const net::NodeId&,
-                                      const std::string& payload)
-                                   -> Result<std::string> {
-    uint8_t mode = 0;
-    if (!payload.empty()) {
-      BinaryReader r(payload);
-      CHARIOTS_RETURN_IF_ERROR(r.GetU8(&mode));
-    }
-    if (mode == 1) {
-      std::string dump = LastBreachDump();
-      if (dump.empty()) {
-        return Status::NotFound("no watchdog breach has fired yet");
-      }
-      return dump;
-    }
-    return flightrec::Recorder::Default().Dump();
-  });
+  net::ServeAdmin(&endpoint_, &watchdog_);
   endpoint_.Handle(kGetClusterInfo, [this](const net::NodeId&,
                                            const std::string&)
                                         -> Result<std::string> {

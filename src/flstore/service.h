@@ -21,10 +21,11 @@ namespace chariots::flstore {
 
 /// Registers the chariots.flstore.repl.* metric families (invalidations,
 /// validations, replays, mttr_ns) with the default registry so they appear
-/// — at zero — in every metrics dump. The registry registers lazily on
-/// first use; calling this at server start keeps the family set stable
-/// across roles, so dashboards and `chariots_cli metrics PREFIX` behave
-/// identically whether or not a node has replicated anything yet.
+/// — at zero — in every maintainer's metrics dump. The registry registers
+/// lazily on first use; calling this at server start keeps the family set
+/// stable across maintainers, so dashboards and `chariots_cli metrics mN
+/// PREFIX` behave identically whether or not a node has replicated anything
+/// yet.
 void RegisterReplicationMetrics();
 
 /// Same, for the chariots.flstore.ctrl.* control-plane families (elections,
@@ -103,15 +104,7 @@ enum Opcode : uint16_t {
   /// ClusterInfo bytes -> (): leader pushing a committed layout to a
   /// follower replica (rejected when older than the follower's view).
   kCtrlReplicateState = 29,
-  /// () -> health-report JSON (RenderHealthJson). Served by maintainers and
-  /// controllers alike: runs one watchdog tick on demand and returns the
-  /// report, so `chariots_cli health` works even on deployments that never
-  /// armed the periodic tick.
-  kHealth = 30,
-  /// u8 mode -> raw flight-recorder dump bytes (Recorder::Dump framing).
-  /// Mode 0 (or empty payload) snapshots the rings now; mode 1 returns the
-  /// snapshot taken at the last watchdog breach (empty if none fired).
-  kFlightRec = 31,
+  // 30-33 are the admin opcodes every role serves (net/admin.h).
 };
 
 /// Wire encoding of a StripeEpoch (used by kAddEpoch /
@@ -165,8 +158,8 @@ class MaintainerServer {
     /// virtual time.
     Clock* clock = nullptr;
     /// Health-watchdog tick period. 0 (default) leaves the periodic tick
-    /// unarmed — the kHealth RPC still evaluates every probe on demand, so
-    /// existing deployments and tests are unperturbed.
+    /// unarmed — the admin health RPC still evaluates every probe on
+    /// demand, so existing deployments and tests are unperturbed.
     int64_t watchdog_interval_nanos = 0;
     /// Replication-round latency SLO: the watchdog breaches when the
     /// windowed mean of this server's INV/VAL round time exceeds it.
@@ -175,8 +168,8 @@ class MaintainerServer {
     /// (0 = probe not registered; the family is shared across in-process
     /// servers, so only enable it where one server owns the process).
     int64_t read_slo_nanos = 0;
-    /// Where the watchdog's breach hook writes a flight-recorder dump
-    /// ("" = keep the snapshot in memory only; kFlightRec mode 1 serves it).
+    /// Where the watchdog writes its breach-time flight-recorder snapshot
+    /// ("" = memory only; the admin flightrec RPC serves it either way).
     std::string breach_dump_path;
   };
 
@@ -199,18 +192,8 @@ class MaintainerServer {
   ReplicaGroup& replica() { return replica_; }
   Watchdog& watchdog() { return watchdog_; }
 
-  /// Flight-recorder snapshot taken by the watchdog's breach hook ("" if no
-  /// breach has fired). What kFlightRec mode 1 serves.
-  std::string LastBreachDump() const;
-
  private:
   void InstallHandlers();
-  /// Watchdog configuration for this server (node label, injected clock,
-  /// tick period, breach hook).
-  Watchdog::Options WatchdogConfig();
-  /// Breach hook: snapshots the flight recorder so the events leading up to
-  /// the breach survive ring wrap, and optionally writes them to disk.
-  void OnWatchdogBreach(const HealthReport& report);
   void GossipOnce();
   void HeartbeatOnce();
   void OnLanded(const LogRecord& record, LId lid);
@@ -284,11 +267,11 @@ class MaintainerServer {
   /// Gossip rounds completed — the progress probe's counter.
   std::atomic<uint64_t> gossip_rounds_{0};
   Watchdog watchdog_;
-  mutable std::mutex dump_mu_;
-  std::string last_breach_dump_;
 };
 
-/// Hosts an Indexer on the RPC fabric.
+/// Hosts an Indexer on the RPC fabric. Its watchdog has no probes and no
+/// periodic tick; it exists so the indexer serves the same admin RPCs as
+/// every other role.
 class IndexerServer {
  public:
   IndexerServer(net::Transport* transport, net::NodeId node);
@@ -298,10 +281,12 @@ class IndexerServer {
   void Stop();
 
   Indexer& indexer() { return indexer_; }
+  Watchdog& watchdog() { return watchdog_; }
 
  private:
   Indexer indexer_;
   net::RpcEndpoint endpoint_;
+  Watchdog watchdog_;
 };
 
 /// Knobs for the hosted controller.
@@ -330,13 +315,13 @@ struct ControllerServerOptions {
   /// lease of silence as death, and some deployments prefer that MTTR over
   /// gray-failure tolerance. The kSuspect fast path always probes.
   bool probe_before_failover = false;
-  /// Health-watchdog tick period (0 = on-demand via kHealth only, the
-  /// default — same contract as MaintainerServer::Options).
+  /// Health-watchdog tick period (0 = on-demand via the admin health RPC
+  /// only, the default — same contract as MaintainerServer::Options).
   int64_t watchdog_interval_nanos = 0;
   /// Election-churn budget: the watchdog breaches when more than this many
   /// elections are won in one tick (a flapping leader, dueling candidates).
   uint64_t max_elections_per_tick = 2;
-  /// Breach-hook dump destination ("" = in-memory snapshot only).
+  /// Breach-snapshot file ("" = in-memory snapshot only).
   std::string breach_dump_path;
 };
 
@@ -382,9 +367,6 @@ class ControllerServer {
   Controller& controller() { return controller_; }
   Watchdog& watchdog() { return watchdog_; }
 
-  /// Breach-time flight-recorder snapshot ("" if none fired yet).
-  std::string LastBreachDump() const;
-
  private:
   /// kUnavailable("NOT_LEADER...") unless this replica is leader — the
   /// redirect non-leader replicas give every mutating RPC; clients treat it
@@ -418,8 +400,6 @@ class ControllerServer {
   Status ExecuteRemoval(const ReplicaRemoval& removal);
   /// The kSuspect body, shared by the request and one-way registrations.
   Result<std::string> HandleSuspect(const std::string& payload);
-  Watchdog::Options WatchdogConfig();
-  void OnWatchdogBreach(const HealthReport& report);
 
   Controller controller_;
   ControllerServerOptions options_;
@@ -436,8 +416,6 @@ class ControllerServer {
   std::atomic<bool> stop_{false};
   Executor::TimerToken monitor_token_;
   Watchdog watchdog_;
-  mutable std::mutex dump_mu_;
-  std::string last_breach_dump_;
 };
 
 }  // namespace chariots::flstore

@@ -136,6 +136,7 @@ void RpcEndpoint::OnMessage(Message msg) {
     }
     if (handler) {
       handler(msg.from, std::move(msg.payload));
+      EndHandler();
     } else {
       LOG_WARN << node_ << ": no one-way handler for type " << msg.type;
     }
@@ -175,7 +176,10 @@ void RpcEndpoint::OnMessage(Message msg) {
                       reply.error_code, msg.rpc_id, reply.payload.size());
   }
   (void)transport_->Send(std::move(reply));
+  EndHandler();
 }
+
+void RpcEndpoint::EndHandler() { std::lock_guard<std::mutex> lock(mu_); }
 
 Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
                                       std::string payload,

@@ -67,7 +67,8 @@ class RpcEndpoint {
   /// Binds to the transport and begins serving.
   Status Start();
 
-  /// Unbinds; outstanding Calls fail with Unavailable.
+  /// Unbinds; outstanding Calls fail with Unavailable. Every handler that
+  /// returned before Stop() happens-before Stop() returns.
   void Stop();
 
   /// Sends a request and blocks for the response (bounded by the per-call
@@ -101,6 +102,9 @@ class RpcEndpoint {
   };
 
   void OnMessage(Message msg);
+  /// Ends a handler invocation under mu_, which orders it before a later
+  /// Stop(): the owner may then destroy what the handler touched.
+  void EndHandler();
 
   Transport* const transport_;
   const NodeId node_;

@@ -15,10 +15,11 @@
 #include "chariots/geo_service.h"
 #include "common/clock.h"
 #include "common/executor.h"
+#include "common/latch.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "net/admin.h"
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 
@@ -555,15 +556,18 @@ TEST(GeoIntegrationTest, GeoRpcServiceServesExternalClients) {
   EXPECT_FALSE(client.Read(999).ok());
   EXPECT_TRUE(client.ReadByToid(0, 999).status().IsNotFound());
 
-  // Observability endpoints (chariots_cli metrics / chariots_cli trace):
-  // JSON with per-stage counters and at least one latency histogram.
-  auto metrics_json = client.Metrics();
+  // Observability endpoints (chariots_cli metrics / chariots_cli trace),
+  // served by the admin opcodes every role shares: JSON with per-stage
+  // counters and at least one latency histogram.
+  net::RpcEndpoint admin(&cluster.transport(), "ext/admin");
+  ASSERT_TRUE(admin.Start().ok());
+  auto metrics_json = admin.Call("geo/dc0/api", net::kMetrics, "");
   ASSERT_TRUE(metrics_json.ok()) << metrics_json.status();
   EXPECT_NE(metrics_json->find("\"counters\""), std::string::npos);
   EXPECT_NE(metrics_json->find("chariots.batcher.records_in"),
             std::string::npos);
   EXPECT_NE(metrics_json->find("\"histograms\""), std::string::npos);
-  auto traces_json = client.Trace();
+  auto traces_json = admin.Call("geo/dc0/api", net::kTrace, "");
   ASSERT_TRUE(traces_json.ok()) << traces_json.status();
   EXPECT_EQ(traces_json->front(), '[');
 }

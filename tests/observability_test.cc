@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -27,14 +30,18 @@
 #include "common/watchdog.h"
 #include "flstore/client.h"
 #include "flstore/service.h"
+#include "net/admin.h"
 #include "net/fault_schedule.h"
 #include "net/inproc_transport.h"
 #include "net/rpc.h"
+#include "storage/file.h"
 
 namespace chariots::flstore {
 namespace {
 
 using namespace std::chrono_literals;
+using net::kFlightRec;
+using net::kHealth;
 
 /// Watchdog options with just the node label set (the common unit-test
 /// shape; designated initializers would warn on the untouched hook field).
@@ -139,31 +146,66 @@ TEST(WatchdogTest, ReRegisteringAProbeReplacesItInsteadOfDuplicating) {
   EXPECT_TRUE(wd.TickOnce().probes.empty());
 }
 
+// The breach hook is the watchdog's own flight-recorder snapshot, counted
+// by chariots.health.dumps.
 TEST(WatchdogTest, BreachHookIsRateLimited) {
   ManualClock clock;
-  int fired = 0;
   Watchdog::Options opts;
   opts.node = "test/node";
   opts.clock = &clock;
-  opts.on_breach = [&](const HealthReport& report) {
-    EXPECT_FALSE(report.healthy);
-    ++fired;
-  };
-  opts.breach_hook_min_interval_nanos = 1'000'000'000;
+  opts.breach_dump_min_interval_nanos = 1'000'000'000;
   Watchdog wd(std::move(opts));
   std::atomic<uint64_t> c{1};
   wd.AddProgressProbe("test/node.p", [&] { return c.load(); });
+  metrics::Counter* dumps =
+      metrics::Registry::Default().GetCounter("chariots.health.dumps");
+  const uint64_t before = dumps->Value();
 
   wd.TickOnce();  // baseline
   wd.TickOnce();  // stall tick #1, debounced
-  wd.TickOnce();  // breach -> hook
-  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(wd.TickOnce().healthy);  // breach -> snapshot
+  EXPECT_EQ(dumps->Value() - before, 1u);
   clock.Advance(100'000'000);
-  wd.TickOnce();  // still breached, hook suppressed inside the interval
-  EXPECT_EQ(fired, 1);
+  wd.TickOnce();  // still breached, snapshot suppressed inside the interval
+  EXPECT_EQ(dumps->Value() - before, 1u);
   clock.Advance(1'000'000'000);
   wd.TickOnce();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(dumps->Value() - before, 2u);
+}
+
+// The breach snapshot lives in the watchdog itself, so every role that owns
+// one serves it the same way: empty before any breach, a decodable
+// flight-recorder dump after, and a copy at `breach_dump_path`.
+TEST(WatchdogTest, BreachSnapshotIsKeptAndWrittenToPath) {
+  std::filesystem::path path = std::filesystem::temp_directory_path() /
+                               ("chariots_breach_dump_" +
+                                std::to_string(::getpid()) + ".bin");
+  std::filesystem::remove(path);
+  Watchdog::Options opts;
+  opts.node = "test/node";
+  opts.trip_ticks = 1;
+  opts.breach_dump_path = path.string();
+  Watchdog wd(std::move(opts));
+  wd.AddQueueProbe("test/node.full", [] { return uint64_t{10}; }, 10);
+
+  EXPECT_TRUE(wd.LastBreachDump().empty());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(wd.TickOnce().healthy);
+
+  std::string snapshot = wd.LastBreachDump();
+  ASSERT_FALSE(snapshot.empty());
+  flightrec::DecodedDump dump;
+  EXPECT_TRUE(flightrec::Recorder::Decode(snapshot, &dump).ok());
+  bool saw_breach = false;
+  for (const flightrec::Event& event : dump.events) {
+    if (event.type == flightrec::EventType::kWatchdogBreach) saw_breach = true;
+  }
+  EXPECT_TRUE(saw_breach) << flightrec::RenderDumpText(dump);
+
+  std::string on_disk;
+  ASSERT_TRUE(storage::ReadFileToString(path.string(), &on_disk).ok());
+  EXPECT_TRUE(flightrec::Recorder::Decode(on_disk, &dump).ok());
+  std::filesystem::remove(path);
 }
 
 TEST(WatchdogTest, PeriodicTickRidesTheExecutorTimerInVirtualTime) {
@@ -644,7 +686,7 @@ TEST(ObservabilityE2ETest, HealthyClusterRaisesNoFalsePositives) {
       EXPECT_EQ(tick->find("\"breached\":true"), std::string::npos) << *tick;
     }
     EXPECT_EQ(cluster.primary_->watchdog().breaches(), 0u);
-    EXPECT_TRUE(cluster.primary_->LastBreachDump().empty());
+    EXPECT_TRUE(cluster.primary_->watchdog().LastBreachDump().empty());
 
     auto snap = probe.Call(kPrimary, kFlightRec, std::string(1, '\x01'),
                            500ms);

@@ -10,17 +10,25 @@
 // The CLI also needs the maintainer/indexer address lists to route to them
 // directly (the controller only serves the logical layout):
 //   --maintainers=H:P,...  --indexers=H:P,...
+//
+// The admin commands (health, flightrec, metrics, trace) work the same on
+// every role: one call to one admin opcode (net/admin.h) on one process,
+// named by TARGET in FLStore mode and by --geo in geo mode:
+//   chariots_cli --controller=... --maintainers=... health m0
+//   chariots_cli --geo=127.0.0.1:7100 --dc-id=0 trace
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "chariots/geo_service.h"
+#include "common/codec.h"
 #include "common/flight_recorder.h"
 #include "flstore/client.h"
-#include "flstore/service.h"
+#include "net/admin.h"
 #include "net/rpc.h"
 #include "net/tcp_transport.h"
 #include "tools/flags.h"
@@ -54,23 +62,25 @@ int Usage() {
                "per-stripe\n"
                "                          coordinator/replicas/fence epochs "
                "+ leases\n"
-               "  metrics [PREFIX]        server metrics as JSON (geo mode);\n"
-               "                          with PREFIX, prints one 'name "
-               "value'\n"
-               "                          line per matching family, e.g.\n"
+               "admin commands (every role; TARGET is ctrl (default), ctrlN, "
+               "mN or\n"
+               "idxN in flstore mode; geo mode always targets the "
+               "datacenter):\n"
+               "  health [TARGET]         one watchdog tick + health report "
+               "JSON\n"
+               "  metrics [TARGET] [PREFIX]\n"
+               "                          server metrics as JSON; with "
+               "PREFIX,\n"
+               "                          prints one 'name value' line per\n"
+               "                          matching family, e.g.\n"
                "                          chariots.flstore.repl. (exits 1 "
                "when\n"
                "                          no family matches)\n"
-               "  trace                   per-record critical-path breakdown "
+               "  trace [TARGET] [json]   per-record critical-path breakdown "
                "of\n"
-               "                          sampled traces (geo mode); 'trace "
-               "json'\n"
-               "                          prints the raw trace JSON instead\n"
-               "  health [TARGET]         one watchdog tick + health report "
-               "JSON;\n"
-               "                          geo mode targets the datacenter, "
-               "flstore\n"
-               "                          mode targets ctrl (default) or mN\n"
+               "                          sampled traces; 'json' prints the "
+               "raw\n"
+               "                          trace JSON instead\n"
                "  flightrec [TARGET] [breach]\n"
                "                          decoded flight-recorder events from "
                "the\n"
@@ -173,23 +183,83 @@ void PrintGeoRecord(const chariots::geo::GeoRecord& record) {
   }
 }
 
-// Commands against a geo datacenter's API (chariots_node --role=datacenter).
-int RunGeo(const Flags& flags, const std::vector<std::string>& args) {
-  net::TcpTransport transport;
-  if (!transport.Listen(0).ok()) {
-    std::fprintf(stderr, "could not open a client port\n");
+
+// The admin opcode a command calls (0 = not an admin command).
+uint16_t AdminOpcode(const std::string& command) {
+  if (command == "health") return net::kHealth;
+  if (command == "flightrec") return net::kFlightRec;
+  if (command == "metrics") return net::kMetrics;
+  if (command == "trace") return net::kTrace;
+  return 0;
+}
+
+// True for a node label chariots_node assigns: "ctrl", "m" or "idx"
+// followed by an index.
+bool IsTargetName(const std::string& arg) {
+  for (const char* role : {"ctrl", "m", "idx"}) {
+    size_t n = std::strlen(role);
+    if (arg.size() > n && arg.compare(0, n, role) == 0 &&
+        arg.find_first_not_of("0123456789", n) == std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The admin commands: one call to one admin opcode on one process. They
+// bypass the data-path clients because health, flight-recorder, metrics and
+// trace state belong to a process, not to the replicated log.
+int RunAdmin(const Flags& flags, const std::vector<std::string>& args,
+             net::Transport* transport, net::NodeId target) {
+  const std::string& command = args[0];
+  uint8_t mode = command == "trace" ? 1 : 0;  // trace: critical-path text
+  std::string prefix;
+  for (size_t i = 1; i < args.size(); ++i) {
+    if (args[i] == "ctrl") {
+      // the default target
+    } else if (IsTargetName(args[i])) {
+      target = args[i] + "/node";
+    } else if (command == "flightrec" && args[i] == "breach") {
+      mode = 1;
+    } else if (command == "trace" && args[i] == "json") {
+      mode = 0;
+    } else if (command == "metrics" && prefix.empty()) {
+      prefix = args[i];
+    } else {
+      return Usage();
+    }
+  }
+  BinaryWriter w;
+  w.PutU8(mode);
+
+  net::RpcEndpoint endpoint(transport,
+                            "cliadmin/" + std::to_string(::getpid()));
+  Status s = endpoint.Start();
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(), s.ToString().c_str());
     return 1;
   }
-  std::string host;
-  int port = 0;
-  if (!Flags::SplitHostPort(flags.Get("geo"), &host, &port)) return Usage();
-  int dc_id = flags.GetInt("dc-id", 0);
-  std::string prefix = "geo/dc" + std::to_string(dc_id);
-  transport.AddRoute(prefix, host, port);
+  auto r = endpoint.Call(target, AdminOpcode(command), std::move(w).data());
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s %s: %s\n", command.c_str(), target.c_str(),
+                 r.status().ToString().c_str());
+    return 1;
+  }
+  if (command == "flightrec") return PrintFlightRecorderDump(flags, *r);
+  if (prefix.empty()) {
+    std::printf("%s\n", r->c_str());
+  } else if (PrintFilteredMetrics(*r, prefix) == 0) {
+    std::fprintf(stderr, "no families match prefix '%s'\n", prefix.c_str());
+    return 1;
+  }
+  return 0;
+}
 
-  geo::GeoRpcClient client(&transport,
-                           "geocli/" + std::to_string(::getpid()),
-                           prefix + "/api");
+// Commands against a geo datacenter's API (chariots_node --role=datacenter).
+int RunGeo(const std::vector<std::string>& args, net::Transport* transport,
+           const net::NodeId& api) {
+  geo::GeoRpcClient client(transport, "geocli/" + std::to_string(::getpid()),
+                           api);
   Status s = client.Start();
   if (!s.ok()) {
     std::fprintf(stderr, "client start failed: %s\n", s.ToString().c_str());
@@ -257,49 +327,6 @@ int RunGeo(const Flags& flags, const std::vector<std::string>& args) {
       std::printf("lid %llu: %s\n", static_cast<unsigned long long>(p.lid),
                   p.value.c_str());
     }
-  } else if (command == "metrics") {
-    if (args.size() > 2) return Usage();
-    auto r = client.Metrics();
-    if (!r.ok()) {
-      std::fprintf(stderr, "metrics: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    if (args.size() == 2) {
-      if (PrintFilteredMetrics(*r, args[1]) == 0) {
-        std::fprintf(stderr, "no families match prefix '%s'\n",
-                     args[1].c_str());
-        return 1;
-      }
-    } else {
-      std::printf("%s\n", r->c_str());
-    }
-  } else if (command == "trace") {
-    bool raw_json = args.size() >= 2 && args[1] == "json";
-    auto r = raw_json ? client.Trace() : client.TraceCriticalPath();
-    if (!r.ok()) {
-      std::fprintf(stderr, "trace: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", r->c_str());
-  } else if (command == "health") {
-    auto r = client.Health();
-    if (!r.ok()) {
-      std::fprintf(stderr, "health: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", r->c_str());
-  } else if (command == "flightrec") {
-    uint8_t mode = 0;
-    for (size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "breach") mode = 1;
-    }
-    auto r = client.FlightRec(mode);
-    if (!r.ok()) {
-      std::fprintf(stderr, "flightrec: %s\n",
-                   r.status().ToString().c_str());
-      return 1;
-    }
-    return PrintFlightRecorderDump(flags, *r);
   } else {
     return Usage();
   }
@@ -312,7 +339,6 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::vector<std::string>& args = flags.positional();
   if (args.empty()) return Usage();
-  if (flags.Has("geo")) return RunGeo(flags, args);
 
   net::TcpTransport transport;
   if (!transport.Listen(0).ok()) {
@@ -321,6 +347,15 @@ int main(int argc, char** argv) {
   }
   std::string host;
   int port = 0;
+  if (flags.Has("geo")) {
+    if (!Flags::SplitHostPort(flags.Get("geo"), &host, &port)) return Usage();
+    std::string prefix = "geo/dc" + std::to_string(flags.GetInt("dc-id", 0));
+    transport.AddRoute(prefix, host, port);
+    if (AdminOpcode(args[0]) != 0) {
+      return RunAdmin(flags, args, &transport, prefix + "/api");
+    }
+    return RunGeo(args, &transport, prefix + "/api");
+  }
   ClientOptions copts;
   std::vector<std::string> controllers =
       Flags::Split(flags.Get("controllers"));
@@ -350,6 +385,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < indexers.size(); ++i) {
     if (!Flags::SplitHostPort(indexers[i], &host, &port)) return Usage();
     transport.AddRoute("idx" + std::to_string(i), host, port);
+  }
+  if (AdminOpcode(args[0]) != 0) {
+    return RunAdmin(flags, args, &transport,
+                    controllers.empty() ? net::NodeId("ctrl/0")
+                                        : copts.controllers.front());
   }
 
   FLStoreClient client(&transport, "cli/" + std::to_string(::getpid()),
@@ -457,55 +497,6 @@ int main(int argc, char** argv) {
         }
         std::printf("\n");
       }
-    }
-  } else if (command == "health" || command == "flightrec") {
-    // Raw per-node observability calls: these bypass the data-path client
-    // because health and flight-recorder state are properties of one
-    // process, not of the replicated log.
-    net::NodeId target = controllers.empty()
-                             ? net::NodeId("ctrl/0")
-                             : copts.controllers.front();
-    uint8_t mode = 0;
-    for (size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "breach") {
-        mode = 1;
-      } else if (args[i] == "ctrl") {
-        // default target already set above
-      } else if (args[i].rfind("ctrl", 0) == 0 ||
-                 args[i].rfind("m", 0) == 0 ||
-                 args[i].rfind("idx", 0) == 0) {
-        target = args[i] + "/node";
-      } else {
-        return Usage();
-      }
-    }
-    net::RpcEndpoint raw(&transport,
-                         "cliraw/" + std::to_string(::getpid()));
-    Status rs = raw.Start();
-    if (!rs.ok()) {
-      std::fprintf(stderr, "%s: %s\n", command.c_str(),
-                   rs.ToString().c_str());
-      return 1;
-    }
-    if (command == "health") {
-      auto r = raw.Call(target, kHealth, "");
-      if (!r.ok()) {
-        std::fprintf(stderr, "health %s: %s\n", target.c_str(),
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("%s\n", r->c_str());
-    } else {
-      BinaryWriter w;
-      w.PutU8(mode);
-      auto r = raw.Call(target, kFlightRec, std::move(w).data());
-      if (!r.ok()) {
-        std::fprintf(stderr, "flightrec %s: %s\n", target.c_str(),
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      int rc = PrintFlightRecorderDump(flags, *r);
-      if (rc != 0) return rc;
     }
   } else if (command == "info") {
     ClusterInfo info = client.cluster_info();

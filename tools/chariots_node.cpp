@@ -127,9 +127,10 @@ bool MaybeStartMetrics(const Flags& flags, net::MetricsHttpServer* server) {
 }
 
 // Observability knobs shared by every role. --watchdog_ms arms the
-// periodic health watchdog (0 keeps it on-demand only, via the kHealth RPC
-// and /healthz); --breach_dump persists a flight-recorder snapshot at every
-// watchdog breach; --crash_dump arms the fatal-signal flight-recorder dump.
+// periodic health watchdog (0 keeps it on-demand only, via the admin health
+// RPC and /healthz); --breach_dump persists a flight-recorder snapshot at
+// every watchdog breach; --crash_dump arms the fatal-signal flight-recorder
+// dump.
 int64_t WatchdogIntervalNanos(const Flags& flags) {
   return static_cast<int64_t>(
              flags.GetInt("watchdog_ms", flags.GetInt("watchdog-ms", 0))) *
@@ -143,6 +144,18 @@ std::string BreachDumpPath(const Flags& flags) {
 void ArmCrashDump(const Flags& flags) {
   std::string path = flags.Get("crash_dump", flags.Get("crash-dump"));
   if (!path.empty()) flightrec::InstallCrashDump(path);
+}
+
+// Serves until SIGINT/SIGTERM. /healthz reports an on-demand tick of the
+// role's watchdog: the same report the admin health RPC serves.
+void ServeUntilSignalled(net::MetricsHttpServer* metrics_http,
+                         Watchdog* watchdog) {
+  metrics_http->SetHealthSource(
+      [watchdog] { return RenderHealthJson(watchdog->TickOnce()); });
+  while (!g_stop) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  std::printf("shutting down\n");
 }
 
 // Applies the runtime-sizing flags (any role). --executor_threads sizes
@@ -182,8 +195,9 @@ int Usage() {
       "                             /traces.json, /healthz,\n"
       "                             /debug/flightrecorder\n"
       "  --watchdog_ms=N            health-watchdog tick interval (any\n"
-      "                             role except indexer; default 0 = tick\n"
-      "                             only on demand via /healthz and\n"
+      "                             role except indexer, which has no\n"
+      "                             probes; default 0 = tick only on\n"
+      "                             demand via /healthz and\n"
       "                             `chariots_cli health`)\n"
       "  --breach_dump=PATH         write a flight-recorder snapshot here\n"
       "                             whenever the watchdog trips\n"
@@ -291,16 +305,11 @@ int RunDatacenter(const Flags& flags) {
     std::fprintf(stderr, "api start: %s\n", s.ToString().c_str());
     return 1;
   }
-  metrics_http.SetHealthSource(
-      [&api] { return RenderHealthJson(api.watchdog().TickOnce()); });
   std::printf("datacenter %u serving on port %d (%zu-replica group%s)\n",
               dc_id, transport.port(), peers.size(),
               store_dir.empty() ? "" : ", persistent");
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::printf("shutting down\n");
+  ServeUntilSignalled(&metrics_http, &api.watchdog());
   api.Stop();
   dc.Stop();
   metrics_http.Stop();
@@ -349,6 +358,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<ControllerServer> controller;
   std::unique_ptr<MaintainerServer> maintainer;
   std::unique_ptr<IndexerServer> indexer;
+  Watchdog* watchdog = nullptr;
 
   if (role == "controller") {
     ClusterInfo info;
@@ -407,9 +417,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
       return 1;
     }
-    ControllerServer* ctrl = controller.get();
-    metrics_http.SetHealthSource(
-        [ctrl] { return RenderHealthJson(ctrl->watchdog().TickOnce()); });
+    watchdog = &controller->watchdog();
     std::printf("controller %s serving on port %d (%zu maintainers, %zu "
                 "indexers, batch %llu%s%s)\n",
                 ctrl_node.c_str(), transport.port(),
@@ -478,9 +486,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
       return 1;
     }
-    MaintainerServer* m = maintainer.get();
-    metrics_http.SetHealthSource(
-        [m] { return RenderHealthJson(m->watchdog().TickOnce()); });
+    watchdog = &maintainer->watchdog();
     std::printf("maintainer %u serving on port %d (%s)\n", index,
                 transport.port(),
                 store_dir.empty() ? "memory" : store_dir.c_str());
@@ -494,15 +500,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
       return 1;
     }
+    watchdog = &indexer->watchdog();
     std::printf("indexer %u serving on port %d\n", index, transport.port());
   } else {
     return Usage();
   }
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::printf("shutting down\n");
+  ServeUntilSignalled(&metrics_http, watchdog);
   if (maintainer != nullptr) maintainer->Stop();
   if (indexer != nullptr) indexer->Stop();
   if (controller != nullptr) controller->Stop();

@@ -72,4 +72,7 @@ else
     CHARIOTS_SKIP_BENCH_BASELINES=1 \
       "$ROOT/tools/run_bench_smoke.sh" "build-$SANITIZER"
   fi
+  # The admin surface over real TCP, sanitized: every chariots_cli admin
+  # command against a controller, maintainer, indexer and datacenter.
+  "$ROOT/tools/run_cli_smoke.sh" "build-$SANITIZER"
 fi
