@@ -54,14 +54,19 @@ std::string TransportFabric::NodeFor(DatacenterId dc) {
 }
 
 Status TransportFabric::RegisterReceiver(DatacenterId dc, Handler handler) {
+  // Inline: the receiver never blocks (it sheds when the pipeline is
+  // congested), so a replication batch runs to completion on the
+  // transport's I/O thread when the connection's strand is idle.
   CHARIOTS_RETURN_IF_ERROR(transport_->Register(
-      NodeFor(dc), [handler = std::move(handler)](net::Message msg) {
+      NodeFor(dc),
+      [handler = std::move(handler)](net::Message msg) {
         // Sender id travels in the first 4 payload bytes.
         BinaryReader r(msg.payload);
         uint32_t from = 0;
         if (!r.GetU32(&from).ok()) return;
         handler(from, msg.payload.substr(4));
-      }));
+      },
+      [](const net::Message&) { return true; }));
   std::lock_guard<std::mutex> lock(mu_);
   registered_[dc] = true;
   return Status::OK();

@@ -21,7 +21,8 @@ class ReplicationFabric {
 
   virtual ~ReplicationFabric() = default;
 
-  /// Binds the receiving side of datacenter `dc`.
+  /// Binds the receiving side of datacenter `dc`. `handler` must never
+  /// block: TransportFabric may run it on the transport's I/O thread.
   virtual Status RegisterReceiver(DatacenterId dc, Handler handler) = 0;
   virtual Status Unregister(DatacenterId dc) = 0;
 

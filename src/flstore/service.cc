@@ -492,9 +492,16 @@ void MaintainerServer::InstallHandlers() {
   // is not yet known durable everywhere, so serving it could expose a
   // value a failover later junk-fills. Clients retry invalid positions
   // against another replica (the coordinator validates first).
-  endpoint_.Handle(kRead, [this](const net::NodeId&,
-                                 const std::string& payload)
-                              -> Result<std::string> {
+  //
+  // The read opcodes make no nested Call and no fsync of their own, so
+  // they run inline on the transport's I/O thread: a read costs no executor
+  // handoff (DESIGN.md §10). They can still wait for the maintainer lock
+  // (an append holds it across a durable-mode fsync) or on a cold pread;
+  // neither needs another node, so neither can deadlock the I/O thread.
+  // Every kAppend* stays on the strand: it can wait on a Hermes INV round.
+  endpoint_.HandleInline(kRead, [this](const net::NodeId&,
+                                       const std::string& payload)
+                                    -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(ReadHist());
     ReadCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
@@ -510,9 +517,9 @@ void MaintainerServer::InstallHandlers() {
     return std::move(w).data();
   });
 
-  endpoint_.Handle(kReadCommitted, [this](const net::NodeId&,
-                                          const std::string& payload)
-                                       -> Result<std::string> {
+  endpoint_.HandleInline(kReadCommitted, [this](const net::NodeId&,
+                                                const std::string& payload)
+                                             -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(ReadHist());
     ReadCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
@@ -535,9 +542,9 @@ void MaintainerServer::InstallHandlers() {
   // coalesced batch straddling a stale striping view degrades softly. An
   // invalid position fails the whole batch (retryable) — flagging it
   // not-found would let a coalescing client conclude the record is gone.
-  endpoint_.Handle(kReadRange, [this](const net::NodeId&,
-                                      const std::string& payload)
-                                   -> Result<std::string> {
+  endpoint_.HandleInline(kReadRange, [this](const net::NodeId&,
+                                            const std::string& payload)
+                                         -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(ReadHist());
     ReadCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
@@ -569,8 +576,9 @@ void MaintainerServer::InstallHandlers() {
     return std::move(w).data();
   });
 
-  endpoint_.Handle(kHeadOfLog, [this](const net::NodeId&, const std::string&)
-                                   -> Result<std::string> {
+  endpoint_.HandleInline(kHeadOfLog, [this](const net::NodeId&,
+                                            const std::string&)
+                                         -> Result<std::string> {
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckReadServing());
     return EncodeLId(maintainer_.HeadOfLog());
   });
@@ -1035,6 +1043,9 @@ ControllerServer::~ControllerServer() { Stop(); }
 Status ControllerServer::Start() {
   CHARIOTS_RETURN_IF_ERROR(controller_.Open());
   RegisterControllerMetrics();
+  // The controller records repl.mttr_ns on a failover; register the family
+  // up front so it is scrapeable before the first one.
+  RegisterReplicationMetrics();
   // Election churn: a healthy cluster elects rarely; a flapping leader (or
   // dueling candidates on a lossy link) elects every lease period.
   watchdog_.AddRateProbe(

@@ -89,7 +89,8 @@ InProcTransport::~InProcTransport() {
   }
 }
 
-Status InProcTransport::Register(const NodeId& node, MessageHandler handler) {
+Status InProcTransport::Register(const NodeId& node, MessageHandler handler,
+                                 InlinePredicate /*may_run_inline*/) {
   std::lock_guard<std::mutex> lock(mu_);
   if (inboxes_.count(node) != 0) {
     return Status::AlreadyExists("node already registered: " + node);

@@ -56,7 +56,10 @@ class InProcTransport : public Transport {
                            Executor* executor = nullptr);
   ~InProcTransport() override;
 
-  Status Register(const NodeId& node, MessageHandler handler) override;
+  /// `may_run_inline` is ignored: delivery order and timing stay those of
+  /// the simulated link, so virtual-time runs replay unchanged.
+  Status Register(const NodeId& node, MessageHandler handler,
+                  InlinePredicate may_run_inline = nullptr) override;
   Status Unregister(const NodeId& node) override;
   Status Send(Message msg) override;
 

@@ -72,6 +72,13 @@ RpcEndpoint::~RpcEndpoint() { Stop(); }
 void RpcEndpoint::Handle(uint16_t type, RpcHandler handler) {
   std::lock_guard<std::mutex> lock(mu_);
   handlers_[type] = std::move(handler);
+  inline_types_.erase(type);
+}
+
+void RpcEndpoint::HandleInline(uint16_t type, RpcHandler handler) {
+  std::lock_guard<std::mutex> lock(mu_);
+  handlers_[type] = std::move(handler);
+  inline_types_.insert(type);
 }
 
 void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler) {
@@ -80,13 +87,25 @@ void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler) {
 }
 
 Status RpcEndpoint::Start() {
+  std::unordered_set<uint16_t> inline_types;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (started_) return Status::FailedPrecondition("endpoint started");
     started_ = true;
+    inline_types = inline_types_;
   }
-  return transport_->Register(node_,
-                              [this](Message msg) { OnMessage(std::move(msg)); });
+  InlinePredicate may_run_inline;
+  if (!inline_types.empty()) {
+    // A frozen copy: the transport consults it lock-free on its I/O thread.
+    // One-way messages (rpc_id 0) share opcodes with requests and stay on
+    // the strand.
+    may_run_inline = [types = std::move(inline_types)](const Message& msg) {
+      return msg.rpc_id != 0 && types.count(msg.type) != 0;
+    };
+  }
+  return transport_->Register(
+      node_, [this](Message msg) { OnMessage(std::move(msg)); },
+      std::move(may_run_inline));
 }
 
 void RpcEndpoint::Stop() {

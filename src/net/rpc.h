@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/result.h"
 #include "common/retry.h"
@@ -30,16 +31,21 @@ struct CallOptions {
 };
 
 /// Trace context of the RPC request currently being handled on this thread.
-/// Handlers run on the transport delivery thread, so a handler (or code it
+/// Handlers run on a transport delivery thread (a strand worker, or the I/O
+/// thread for inline handlers), synchronously, so a handler (or code it
 /// calls synchronously) reads the inbound trace here; inactive when the
 /// request carried none.
 const trace::TraceContext& CurrentRpcTrace();
 
 /// Request/response layer over a Transport. One endpoint per logical node.
 ///
-/// Server side: register per-opcode handlers, then Start(). Handlers run on
-/// the transport delivery thread; they return the response payload or an
-/// error Status (which travels back as an error response).
+/// Server side: register per-opcode handlers, then Start(). Handlers return
+/// the response payload or an error Status (which travels back as an error
+/// response). Handle() handlers run on the transport's per-connection
+/// strand and may block for bounded durations (nested Calls, fsync).
+/// HandleInline() handlers promise never to block, so a transport may run
+/// them to completion on its I/O thread (TcpTransport does when the
+/// connection's strand is idle), saving the executor handoff.
 ///
 /// Client side: Call() blocks for the response with a timeout; Notify() is
 /// fire-and-forget.
@@ -60,6 +66,11 @@ class RpcEndpoint {
 
   /// Registers a request handler for `type`. Must precede Start().
   void Handle(uint16_t type, RpcHandler handler);
+
+  /// Registers a non-blocking request handler for `type`: it makes no
+  /// nested Call, does no fsync and never waits on another node. Must
+  /// precede Start(), which freezes the inline opcode set.
+  void HandleInline(uint16_t type, RpcHandler handler);
 
   /// Registers a one-way handler for `type`. Must precede Start().
   void HandleOneWay(uint16_t type, OneWayHandler handler);
@@ -112,6 +123,7 @@ class RpcEndpoint {
   std::mutex mu_;
   bool started_ = false;
   std::unordered_map<uint16_t, RpcHandler> handlers_;
+  std::unordered_set<uint16_t> inline_types_;
   std::unordered_map<uint16_t, OneWayHandler> oneway_handlers_;
   std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_;
   std::atomic<uint64_t> next_rpc_id_{1};

@@ -49,6 +49,18 @@ metrics::Counter* FramesReceivedCounter() {
   return c;
 }
 
+metrics::Counter* RequestsInlineCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("net.tcp.requests_inline");
+  return c;
+}
+
+metrics::Counter* RequestsQueuedCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("net.tcp.requests_queued");
+  return c;
+}
+
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -96,8 +108,9 @@ ssize_t SendChain(int fd, const SliceChain& chain, size_t skip) {
 /// closes the fd. Senders on any thread append to the write queue under
 /// `write_mu` (trying the socket inline first). Inbound requests queue in
 /// `inbox` and are delivered one at a time by a strand task under `gate`,
-/// which also fences the transport: Shutdown() closes it, after which no
-/// queued task touches the transport again.
+/// or run inline by the reactor under the same gate when the strand is idle;
+/// the gate also fences the transport: Shutdown() closes it, after which no
+/// handler runs for this connection again.
 struct TcpTransport::Conn {
   int fd = -1;
   IoThread* io = nullptr;
@@ -214,12 +227,13 @@ void TcpTransport::AddRoute(const std::string& prefix, const std::string& host,
   routes_.emplace_back(prefix, host + ":" + std::to_string(port));
 }
 
-Status TcpTransport::Register(const NodeId& node, MessageHandler handler) {
+Status TcpTransport::Register(const NodeId& node, MessageHandler handler,
+                              InlinePredicate may_run_inline) {
   std::lock_guard<std::mutex> lock(mu_);
   if (local_.count(node) != 0) {
     return Status::AlreadyExists("node already registered: " + node);
   }
-  local_[node] = std::move(handler);
+  local_[node] = LocalNode{std::move(handler), std::move(may_run_inline)};
   return Status::OK();
 }
 
@@ -238,7 +252,7 @@ void TcpTransport::DeliverLocal(Message msg) {
       LOG_WARN << "tcp: dropping message for unknown local node " << msg.to;
       return;
     }
-    handler = it->second;
+    handler = it->second.handler;
   }
   handler(std::move(msg));
 }
@@ -247,9 +261,10 @@ Status TcpTransport::Send(Message msg) {
   std::string addr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (local_.count(msg.to) != 0) {
+    auto local = local_.find(msg.to);
+    if (local != local_.end()) {
       // Local shortcut — deliver on the caller thread.
-      MessageHandler handler = local_[msg.to];
+      MessageHandler handler = local->second.handler;
       // Drop the lock before invoking user code.
       // (handler copy keeps it alive.)
       mu_.unlock();
@@ -544,10 +559,16 @@ void TcpTransport::HandleReadable(IoThread* io,
 }
 
 void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg) {
-  if (!msg.from.empty()) {
-    // Peer learning: the sender is reachable over this connection.
+  bool may_run_inline = false;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    learned_[msg.from] = conn;
+    // Peer learning: the sender is reachable over this connection.
+    if (!msg.from.empty()) learned_[msg.from] = conn;
+    if (!msg.is_response) {
+      auto it = local_.find(msg.to);
+      may_run_inline = it != local_.end() && it->second.may_run_inline &&
+                       it->second.may_run_inline(msg);
+    }
   }
   if (msg.is_response) {
     // Inline on the reactor: response handlers only complete pending calls
@@ -555,11 +576,26 @@ void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg) {
     DeliverLocal(std::move(msg));
     return;
   }
+  bool run_inline;
   {
     std::lock_guard<std::mutex> lock(conn->in_mu);
-    conn->inbox.push_back(std::move(msg));
-    if (conn->drain_scheduled) return;
-    conn->drain_scheduled = true;
+    // Only this reactor thread schedules drains for `conn`, so an idle
+    // strand stays idle until an inline request returns: running it here
+    // keeps the connection's FIFO.
+    run_inline =
+        may_run_inline && conn->inbox.empty() && !conn->drain_scheduled;
+    if (!run_inline) {
+      RequestsQueuedCounter()->Add();
+      conn->inbox.push_back(std::move(msg));
+      if (conn->drain_scheduled) return;
+      conn->drain_scheduled = true;
+    }
+  }
+  if (run_inline) {
+    // Run to completion: no executor handoff, no worker wake-up.
+    RequestsInlineCounter()->Add();
+    conn->gate.Run([&] { DeliverLocal(std::move(msg)); });
+    return;
   }
   if (!executor_->Submit(
           conn->gate.Wrap([this, conn] { DrainInbox(conn); }))) {

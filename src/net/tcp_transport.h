@@ -23,13 +23,23 @@ namespace chariots::net {
 /// Execution model (DESIGN.md §10): a nonblocking epoll reactor. One or a
 /// few I/O threads own every socket — the listener, all reads, and all
 /// queued writes — so the thread count is a constant, not one reader per
-/// connection. Inbound *requests* are dispatched to the shared executor on
-/// a per-connection strand (serial, like the old reader thread delivered
-/// them); inbound *responses* are delivered inline on the reactor thread,
-/// so a worker blocked inside a handler waiting on a Call() is unblocked
-/// even when every worker is busy. Sends try the socket inline on the
-/// caller's thread and fall back to a bounded per-connection write queue
-/// flushed by the reactor on EPOLLOUT.
+/// connection. Inbound *responses* are delivered inline on the reactor
+/// thread, so a worker blocked inside a handler waiting on a Call() is
+/// unblocked even when every worker is busy. Inbound *requests* run on a
+/// per-connection strand (serial, FIFO) of the shared executor — except
+/// that a request the destination's InlinePredicate accepts runs to
+/// completion inline on the reactor when that strand is idle (inbox empty,
+/// no drain scheduled or running). Inline requests go through the same
+/// gate as the strand, so per-connection FIFO and the Shutdown() fence
+/// hold for both; a request arriving behind a busy strand queues like any
+/// other. Inline handlers must never block (see MessageHandler): a cold
+/// pread inside one stalls every connection of that reactor, which more
+/// io_threads spread out. Sends try the socket inline on the caller's
+/// thread and fall back to a bounded per-connection write queue flushed by
+/// the reactor on EPOLLOUT.
+///
+/// Counters: net.tcp.requests_inline / net.tcp.requests_queued count
+/// inbound requests by path (queued = one executor handoff each).
 ///
 /// Routing: local nodes are registered handlers; remote nodes are reached via
 /// prefix routes installed with AddRoute("dc1", "127.0.0.1:7001"). Longest
@@ -63,7 +73,8 @@ class TcpTransport : public Transport {
   void AddRoute(const std::string& prefix, const std::string& host,
                 int port);
 
-  Status Register(const NodeId& node, MessageHandler handler) override;
+  Status Register(const NodeId& node, MessageHandler handler,
+                  InlinePredicate may_run_inline = nullptr) override;
   Status Unregister(const NodeId& node) override;
   Status Send(Message msg) override;
 
@@ -73,6 +84,10 @@ class TcpTransport : public Transport {
  private:
   struct Conn;
   struct IoThread;
+  struct LocalNode {
+    MessageHandler handler;
+    InlinePredicate may_run_inline;  // null: every request on the strand
+  };
 
   void ReactorLoop(size_t index);
   /// Accept-ready on the listener (reactor thread 0 only).
@@ -81,8 +96,8 @@ class TcpTransport : public Transport {
   void HandleReadable(IoThread* io, const std::shared_ptr<Conn>& conn);
   /// Flushes the write queue; disarms EPOLLOUT when drained (reactor only).
   void HandleWritable(IoThread* io, const std::shared_ptr<Conn>& conn);
-  /// One decoded inbound message: peer-learn + response-inline /
-  /// request-strand split.
+  /// One decoded inbound message: peer-learn, then responses and idle-strand
+  /// inline-eligible requests run here; other requests go to the strand.
   void Dispatch(const std::shared_ptr<Conn>& conn, Message msg);
   /// Per-connection strand body: delivers queued requests one at a time.
   void DrainInbox(const std::shared_ptr<Conn>& conn);
@@ -111,7 +126,7 @@ class TcpTransport : public Transport {
   std::vector<std::unique_ptr<IoThread>> io_threads_;
 
   std::mutex mu_;
-  std::unordered_map<NodeId, MessageHandler> local_;
+  std::unordered_map<NodeId, LocalNode> local_;
   std::vector<std::pair<std::string, std::string>> routes_;  // prefix -> addr
   std::unordered_map<std::string, std::shared_ptr<Conn>> conns_;
   std::vector<std::shared_ptr<Conn>> accepted_;

@@ -9,9 +9,20 @@
 namespace chariots::net {
 
 /// Callback invoked on a transport delivery thread for each inbound message.
-/// Handlers must be fast or hand off to their own executor; one slow handler
-/// stalls that node's inbox.
+/// Requests normally run on a per-sender strand of the transport's executor
+/// (one at a time, FIFO), where a handler may block for bounded durations:
+/// a nested Call, an fsync. Responses, and requests the node's
+/// InlinePredicate accepts, may instead run inline on the transport's I/O
+/// thread (TcpTransport, DESIGN.md §10); such a handler must never block —
+/// no nested Call, no fsync, no wait on another node — or it stalls every
+/// connection that thread serves.
 using MessageHandler = std::function<void(Message)>;
+
+/// Tells a transport that `msg` (an inbound request, never a response) may
+/// run to completion inline on the I/O thread that read it. Must be cheap,
+/// pure and thread-safe: it is consulted on the I/O thread for every
+/// request. A transport is free to ignore it (InProcTransport does).
+using InlinePredicate = std::function<bool(const Message& msg)>;
 
 /// Abstract point-to-point message fabric. Implementations: InProcTransport
 /// (simulated latency/bandwidth inside one process) and TcpTransport (real
@@ -21,8 +32,10 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Binds `node` to `handler`. Fails with AlreadyExists if bound.
-  virtual Status Register(const NodeId& node, MessageHandler handler) = 0;
+  /// Binds `node` to `handler`. Fails with AlreadyExists if bound. A null
+  /// `may_run_inline` keeps every request on the strand.
+  virtual Status Register(const NodeId& node, MessageHandler handler,
+                          InlinePredicate may_run_inline = nullptr) = 0;
 
   /// Removes a binding; in-flight messages to the node are dropped.
   virtual Status Unregister(const NodeId& node) = 0;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/latch.h"
+#include "common/metrics.h"
 #include "net/inproc_transport.h"
 #include "net/message.h"
 #include "net/rpc.h"
@@ -376,6 +377,20 @@ TEST_F(RpcTest, ConcurrentCallsCorrelate) {
   EXPECT_EQ(ok.load(), 64);
 }
 
+TEST_F(RpcTest, InlineHandlerIsServedOnTheStrandInProc) {
+  // InProcTransport ignores the inline predicate: an inline handler is
+  // served like any other, so virtual-time runs are unchanged.
+  RpcEndpoint server(&transport_, "server");
+  server.HandleInline(1, [](const NodeId&, const std::string& p)
+                             -> Result<std::string> { return "in:" + p; });
+  ASSERT_TRUE(server.Start().ok());
+  RpcEndpoint client(&transport_, "client");
+  ASSERT_TRUE(client.Start().ok());
+  auto r = client.Call("server", 1, "x");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "in:x");
+}
+
 TEST_F(RpcTest, StopFailsPendingCalls) {
   RpcEndpoint client(&transport_, "client");
   ASSERT_TRUE(client.Start().ok());
@@ -519,6 +534,204 @@ TEST(TcpTransportTest, RpcOverTcpBothDirections) {
   auto r = client.Call("b/server", 1, "hi", 2000ms);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, "tcp:hi");
+}
+
+// ------------------------------------------- TcpTransport: inline requests
+
+constexpr uint16_t kReadOp = 1;    // served inline (never blocks)
+constexpr uint16_t kAppendOp = 2;  // served on the strand (may block)
+
+uint64_t CounterValue(const char* name) {
+  return metrics::Registry::Default().GetCounter(name)->Value();
+}
+
+/// A server transport plus a client transport routed to it; `server` and
+/// `client` endpoints are started by the test after registering handlers.
+struct TcpPair {
+  TcpPair() {
+    EXPECT_TRUE(server_side.Listen(0).ok());
+    client_side.AddRoute("srv", "127.0.0.1", server_side.port());
+  }
+  TcpTransport server_side;
+  TcpTransport client_side;
+  RpcEndpoint server{&server_side, "srv/node"};
+  RpcEndpoint client{&client_side, "cli/node"};
+};
+
+TEST(TcpInlineTest, RemoteReadsCostNoExecutorHandoff) {
+  TcpPair p;
+  p.server.HandleInline(kReadOp, [](const NodeId&, const std::string& q)
+                                     -> Result<std::string> { return q; });
+  p.server.Handle(kAppendOp, [](const NodeId&, const std::string& q)
+                                 -> Result<std::string> { return q; });
+  ASSERT_TRUE(p.server.Start().ok());
+  ASSERT_TRUE(p.client.Start().ok());
+
+  // Sequential calls: each request finds its connection's strand idle.
+  constexpr int kCalls = 50;
+  const uint64_t inline0 = CounterValue("net.tcp.requests_inline");
+  const uint64_t queued0 = CounterValue("net.tcp.requests_queued");
+  for (int i = 0; i < kCalls; ++i) {
+    auto r = p.client.Call("srv/node", kReadOp, std::to_string(i), 2000ms);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(*r, std::to_string(i));
+  }
+  EXPECT_EQ(CounterValue("net.tcp.requests_inline") - inline0,
+            static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(CounterValue("net.tcp.requests_queued") - queued0, 0u);
+
+  // A strand opcode pays exactly one handoff.
+  auto r = p.client.Call("srv/node", kAppendOp, "a", 2000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(CounterValue("net.tcp.requests_queued") - queued0, 1u);
+  EXPECT_EQ(CounterValue("net.tcp.requests_inline") - inline0,
+            static_cast<uint64_t>(kCalls));
+}
+
+TEST(TcpInlineTest, InlineRequestWaitsBehindBusyStrand) {
+  // Per-connection FIFO: a read arriving while an append on the same
+  // connection is still running must queue behind it, not overtake it —
+  // and must not park the reactor either: a read on another connection is
+  // still served inline meanwhile.
+  TcpPair p;
+  CountDownLatch append_entered(1);
+  CountDownLatch release_append(1);
+  std::atomic<bool> append_done{false};
+  std::atomic<bool> read_ran{false};
+  std::atomic<bool> read_overtook{false};
+  p.server.Handle(kAppendOp, [&](const NodeId&, const std::string&)
+                                 -> Result<std::string> {
+    append_entered.CountDown();
+    release_append.WaitFor(5s);
+    append_done = true;
+    return std::string("appended");
+  });
+  // Only the read sent on the append's connection is tracked.
+  p.server.HandleInline(kReadOp, [&](const NodeId&, const std::string& q)
+                                     -> Result<std::string> {
+    if (q != "same") return std::string("other");
+    if (!append_done.load()) read_overtook = true;
+    read_ran = true;
+    return std::string("read");
+  });
+  ASSERT_TRUE(p.server.Start().ok());
+  ASSERT_TRUE(p.client.Start().ok());
+
+  std::thread appender([&] {
+    auto r = p.client.Call("srv/node", kAppendOp, "", 5000ms);
+    EXPECT_TRUE(r.ok()) << r.status();
+  });
+  ASSERT_TRUE(append_entered.WaitFor(2s));
+  const uint64_t queued0 = CounterValue("net.tcp.requests_queued");
+  // Same client transport, so the same connection as the append.
+  std::thread reader([&] {
+    auto r = p.client.Call("srv/node", kReadOp, "same", 5000ms);
+    EXPECT_TRUE(r.ok()) << r.status();
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(read_ran.load()) << "read ran while the strand was busy";
+  {
+    TcpTransport other_side;
+    other_side.AddRoute("srv", "127.0.0.1", p.server_side.port());
+    RpcEndpoint other(&other_side, "cli/other");
+    ASSERT_TRUE(other.Start().ok());
+    const uint64_t inline0 = CounterValue("net.tcp.requests_inline");
+    auto r = other.Call("srv/node", kReadOp, "", 1000ms);
+    EXPECT_TRUE(r.ok()) << "reactor stalled behind a busy strand: "
+                        << r.status();
+    EXPECT_EQ(CounterValue("net.tcp.requests_inline") - inline0, 1u);
+  }
+  EXPECT_FALSE(append_done.load());
+  EXPECT_FALSE(read_ran.load());
+  release_append.CountDown();
+  appender.join();
+  reader.join();
+  EXPECT_TRUE(read_ran.load());
+  EXPECT_FALSE(read_overtook.load());
+  EXPECT_EQ(CounterValue("net.tcp.requests_queued") - queued0, 1u);
+}
+
+TEST(TcpInlineTest, StrandHandlerCanMakeNestedCallOverSameConnection) {
+  // A strand handler calls back to its caller: the nested request travels
+  // over the connection whose strand the handler occupies, and its response
+  // must still be delivered (responses never wait on a strand).
+  TcpPair p;
+  p.client.HandleInline(kReadOp, [](const NodeId&, const std::string& q)
+                                     -> Result<std::string> {
+    return "inner:" + q;
+  });
+  p.server.Handle(kAppendOp, [&](const NodeId& from, const std::string& q)
+                                 -> Result<std::string> {
+    CHARIOTS_ASSIGN_OR_RETURN(
+        std::string inner, p.server.Call(from, kReadOp, q, 1000ms));
+    return "outer:" + inner;
+  });
+  ASSERT_TRUE(p.server.Start().ok());
+  ASSERT_TRUE(p.client.Start().ok());
+  auto r = p.client.Call("srv/node", kAppendOp, "x", 3000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "outer:inner:x");
+}
+
+TEST(TcpInlineTest, ShutdownFencesInlineHandlers) {
+  // Shutdown() waits for an inline handler in flight, and no inline
+  // handler starts after it returns, though requests keep arriving.
+  TcpTransport server_side;
+  ASSERT_TRUE(server_side.Listen(0).ok());
+  CountDownLatch first_entered(1);
+  std::atomic<bool> shutdown_called{false};
+  std::atomic<bool> shutdown_returned{false};
+  std::atomic<bool> first_returned{false};
+  std::atomic<uint64_t> handled{0};
+  std::atomic<uint64_t> late{0};
+  ASSERT_TRUE(
+      server_side
+          .Register(
+              "srv/node",
+              [&](Message) {
+                if (shutdown_returned.load()) ++late;
+                if (handled++ == 0) {
+                  // Hold the first request until Shutdown() is under way.
+                  first_entered.CountDown();
+                  for (int i = 0; i < 2000 && !shutdown_called.load(); ++i) {
+                    std::this_thread::sleep_for(1ms);
+                  }
+                  std::this_thread::sleep_for(20ms);
+                  first_returned = true;
+                }
+              },
+              [](const Message&) { return true; })
+          .ok());
+  const uint64_t inline0 = CounterValue("net.tcp.requests_inline");
+
+  TcpTransport client_side;
+  client_side.AddRoute("srv", "127.0.0.1", server_side.port());
+  std::atomic<bool> stop{false};
+  std::thread sender([&] {
+    // Keeps requests flowing across the shutdown; Sends fail once the
+    // server is gone, which is expected.
+    while (!stop.load()) {
+      Message m;
+      m.from = "cli/node";
+      m.to = "srv/node";
+      m.payload = "x";
+      (void)client_side.Send(std::move(m));
+      std::this_thread::sleep_for(100us);
+    }
+  });
+  ASSERT_TRUE(first_entered.WaitFor(2s));
+  shutdown_called = true;
+  server_side.Shutdown();
+  shutdown_returned = true;
+  EXPECT_TRUE(first_returned.load())
+      << "Shutdown() returned while an inline handler was running";
+  const uint64_t at_shutdown = handled.load();
+  std::this_thread::sleep_for(100ms);
+  stop = true;
+  sender.join();
+  EXPECT_EQ(late.load(), 0u);
+  EXPECT_EQ(handled.load(), at_shutdown);
+  EXPECT_GT(CounterValue("net.tcp.requests_inline") - inline0, 0u);
 }
 
 }  // namespace

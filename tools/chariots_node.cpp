@@ -1,15 +1,14 @@
 // chariots_node — runs one FLStore server role (controller, log
 // maintainer, or indexer) as its own OS process, talking real TCP. A
-// minimal two-maintainer deployment on one host:
+// minimal two-maintainer deployment on one host is one process per line,
+// each also given the shared cluster flags FLAGS =
+// "--maintainers=127.0.0.1:7001,127.0.0.1:7002 --indexers=127.0.0.1:7003
+// --batch=1000" (add --store-dir=DIR to a maintainer to persist its log):
 //
-//   ./chariots_node --role=controller --listen=7000 \
-//       --maintainers=127.0.0.1:7001,127.0.0.1:7002 \
-//       --indexers=127.0.0.1:7003 --batch=1000
-//   ./chariots_node --role=maintainer --index=0 --listen=7001 \
-//       --maintainers=127.0.0.1:7001,127.0.0.1:7002 \
-//       --indexers=127.0.0.1:7003 --batch=1000 [--store-dir=/data/m0]
-//   ./chariots_node --role=maintainer --index=1 --listen=7002 ...
-//   ./chariots_node --role=indexer --index=0 --listen=7003 ...
+//   ./chariots_node --role=controller --listen=7000 FLAGS
+//   ./chariots_node --role=maintainer --index=0 --listen=7001 FLAGS
+//   ./chariots_node --role=maintainer --index=1 --listen=7002 FLAGS
+//   ./chariots_node --role=indexer --index=0 --listen=7003 FLAGS
 //
 // then drive it with chariots_cli (see that tool's header comment).
 //

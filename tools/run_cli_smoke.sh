@@ -3,7 +3,7 @@
 # one indexer and one datacenter with chariots_node on free loopback ports,
 # then runs every chariots_cli admin command (health, flightrec, metrics,
 # trace) against each role, plus `metrics chariots.flstore.repl.` against
-# the maintainer. Fails on any non-zero exit, a CLI's or a node's (the
+# the maintainer and the controller. Fails on any non-zero exit, a CLI's or a node's (the
 # nodes are stopped with SIGTERM at the end and must exit 0, so a
 # sanitizer report in a node fails the run too). Nodes are killed on exit.
 #
@@ -100,6 +100,7 @@ for target in ctrl m0 idx0; do
   done
 done
 cli flstore metrics m0 chariots.flstore.repl.
+cli flstore metrics ctrl chariots.flstore.repl.
 for command in health flightrec metrics trace; do
   cli geo "$command"
 done
