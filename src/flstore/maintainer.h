@@ -198,6 +198,10 @@ class LogMaintainer {
 
   uint64_t count() const;
   uint32_t index() const { return options_.index; }
+  /// The store configuration this maintainer was built with.
+  const storage::LogStoreOptions& store_options() const {
+    return options_.store;
+  }
   EpochJournal journal() const;
   /// Number of ordered appends still waiting for their minimum bound.
   size_t deferred_ordered() const;

@@ -349,9 +349,29 @@ void MaintainerServer::InstallHandlers() {
   // dedup token) goes to every peer, and only when all peers acked does
   // the coordinator validate (local mark + one-way VAL) and ack. An ack
   // therefore means every replica holds the records durably.
-  endpoint_.Handle(kAppend, [this](const net::NodeId&,
-                                   const std::string& payload)
-                                -> Result<std::string> {
+  //
+  // The client appends run to completion inline on the transport's I/O
+  // thread (DESIGN.md §10) when, at dispatch, they cannot wait on anything:
+  // the stripe has no peers to run an INV round with, the store never
+  // fsyncs inside an append, and there is no dedup sidecar (its compaction
+  // fsyncs). Otherwise the same handler runs on the strand. A peer added
+  // between dispatch and the INV round (kReconfigure, kPromote) trips the
+  // inline Call guard (net::InlineHandlerScope): the round fails as
+  // against an unreachable peer, the write parks with its dedup token
+  // recorded, and the client's sticky retry — on the strand now — replays
+  // the round and acks the same LIds.
+  const storage::LogStoreOptions& store = maintainer_.store_options();
+  const bool append_never_syncs =
+      store.mode != storage::SyncMode::kFsyncEach &&
+      store.sync_policy == storage::SyncPolicy::kNever &&
+      options_.dedup_sidecar.empty();
+  auto append_cannot_wait = [this, append_never_syncs] {
+    return append_never_syncs && !replica_.replicates();
+  };
+
+  endpoint_.HandleInline(kAppend, [this](const net::NodeId&,
+                                         const std::string& payload)
+                                      -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(AppendHist());
     AppendCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
@@ -381,11 +401,11 @@ void MaintainerServer::InstallHandlers() {
         RunReplicationRound(std::move(batch), client_id, seq, response));
     CHARIOTS_RETURN_IF_ERROR(dedup_.Record(client_id, seq, response));
     return response;
-  });
+  }, append_cannot_wait);
 
-  endpoint_.Handle(kAppendBatch, [this](const net::NodeId&,
-                                        const std::string& payload)
-                                     -> Result<std::string> {
+  endpoint_.HandleInline(kAppendBatch, [this](const net::NodeId&,
+                                              const std::string& payload)
+                                           -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(AppendHist());
     AppendCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
@@ -421,11 +441,11 @@ void MaintainerServer::InstallHandlers() {
         RunReplicationRound(std::move(batch), client_id, seq, response));
     CHARIOTS_RETURN_IF_ERROR(dedup_.Record(client_id, seq, response));
     return response;
-  });
+  }, append_cannot_wait);
 
-  endpoint_.Handle(kAppendAt, [this](const net::NodeId&,
-                                     const std::string& payload)
-                                  -> Result<std::string> {
+  endpoint_.HandleInline(kAppendAt, [this](const net::NodeId&,
+                                           const std::string& payload)
+                                        -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(AppendHist());
     AppendCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
@@ -443,11 +463,11 @@ void MaintainerServer::InstallHandlers() {
     }
     CHARIOTS_RETURN_IF_ERROR(RunReplicationRound(std::move(batch), "", 0, ""));
     return std::string();
-  });
+  }, append_cannot_wait);
 
-  endpoint_.Handle(kAppendOrdered, [this](const net::NodeId&,
-                                          const std::string& payload)
-                                       -> Result<std::string> {
+  endpoint_.HandleInline(kAppendOrdered, [this](const net::NodeId&,
+                                                const std::string& payload)
+                                             -> Result<std::string> {
     metrics::ScopedLatencyTimer timer(AppendHist());
     AppendCounter()->Add();
     CHARIOTS_RETURN_IF_ERROR(replica_.CheckAppendServing());
@@ -482,7 +502,7 @@ void MaintainerServer::InstallHandlers() {
         RunReplicationRound(std::move(batch), client_id, seq, response));
     CHARIOTS_RETURN_IF_ERROR(dedup_.Record(client_id, seq, response));
     return response;
-  });
+  }, append_cannot_wait);
 
   // Read responses open with (fence epoch, head of log): the client's
   // read-through cache keys its invalidation off them — an epoch bump for
@@ -498,7 +518,7 @@ void MaintainerServer::InstallHandlers() {
   // handoff (DESIGN.md §10). They can still wait for the maintainer lock
   // (an append holds it across a durable-mode fsync) or on a cold pread;
   // neither needs another node, so neither can deadlock the I/O thread.
-  // Every kAppend* stays on the strand: it can wait on a Hermes INV round.
+  // The kAppend* opcodes run inline only when they cannot wait (above).
   endpoint_.HandleInline(kRead, [this](const net::NodeId&,
                                        const std::string& payload)
                                     -> Result<std::string> {

@@ -44,13 +44,13 @@ void CountPayloadEntered(size_t bytes) {
 void CountPayloadCopied(size_t bytes) { PayloadCopiedCounter()->Add(bytes); }
 
 size_t Message::WireSize() const {
-  // Mirrors EncodeMessage below, field for field: three PutBytes carry a
-  // u32 length prefix each (3*4), plus u16 type + u64 rpc_id + u8
-  // is_response + u8 error_code = 24 fixed bytes. An active trace trailer
-  // adds u64 trace_id + u32 hop count (12), per hop a length-prefixed stage
-  // + u32 dc + i64 nanos (stage + 16), then u32 span count + u32 chain (8)
-  // and, per span, u32 id + u32 parent + length-prefixed stage + u32 dc +
-  // i64 start + i64 end (stage + 32).
+  // Mirrors EncodeMessageSlices below, field for field: from, to and
+  // payload carry a u32 length prefix each (3*4), plus u16 type + u64
+  // rpc_id + u8 is_response + u8 error_code = 24 fixed bytes. An active
+  // trace trailer adds u64 trace_id + u32 hop count (12), per hop a
+  // length-prefixed stage + u32 dc + i64 nanos (stage + 16), then u32 span
+  // count + u32 chain (8) and, per span, u32 id + u32 parent +
+  // length-prefixed stage + u32 dc + i64 start + i64 end (stage + 32).
   size_t trace_bytes = 0;
   if (trace.active()) {
     trace_bytes = 12 + 8;
@@ -60,25 +60,6 @@ size_t Message::WireSize() const {
     }
   }
   return from.size() + to.size() + payload.size() + trace_bytes + 24;
-}
-
-std::string EncodeMessage(const Message& msg) {
-  // The legacy concatenating encode copies the payload into the output
-  // string — counted, so the copies-per-record gauge stays truthful for
-  // any caller still on this path.
-  CountPayloadCopied(msg.payload.size());
-  BinaryWriter w;
-  w.PutBytes(msg.from);
-  w.PutBytes(msg.to);
-  w.PutU16(msg.type);
-  w.PutU64(msg.rpc_id);
-  w.PutU8(msg.is_response ? 1 : 0);
-  w.PutU8(msg.error_code);
-  w.PutBytes(msg.payload);
-  // Trace rides as an optional trailing field: absent entirely (zero bytes)
-  // for unsampled messages, and ignored by decoders that stop at payload.
-  trace::EncodeTrace(msg.trace, &w);
-  return std::move(w).data();
 }
 
 SliceChain EncodeMessageSlices(Message&& msg, std::string_view prepend) {

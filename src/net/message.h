@@ -31,14 +31,12 @@ struct Message {
   /// zero-byte on the wire) for unsampled traffic.
   trace::TraceContext trace;
 
-  /// Exact wire size in bytes — equals EncodeMessage(*this).size().
-  /// Used by the bandwidth simulation; defined next to the codec so the
-  /// two cannot drift apart silently (net_test asserts equality).
+  /// Exact wire size in bytes — equals EncodeMessageSlices(*this).size()
+  /// with no prepend. Used by the bandwidth simulation and the TCP frame
+  /// length; defined next to the codec so the two cannot drift apart
+  /// silently (net_test asserts equality).
   size_t WireSize() const;
 };
-
-/// Serializes a message to wire bytes (used by the TCP transport).
-std::string EncodeMessage(const Message& msg);
 
 /// Payloads below this size are copied into the header buffer by
 /// EncodeMessageSlices instead of borrowed: a third iovec entry costs more
@@ -46,17 +44,20 @@ std::string EncodeMessage(const Message& msg);
 /// exists for — are always borrowed.
 inline constexpr size_t kInlineMessagePayloadBytes = 512;
 
-/// Slice-chain encode (DESIGN.md §15): header and trace-trailer bytes are
+/// The wire encoder (DESIGN.md §15): header and trace-trailer bytes are
 /// freshly encoded into chain-owned buffers while a large payload is MOVED
 /// into a refcounted Buffer and borrowed, so record bytes are referenced,
 /// never copied, from here to the socket. `prepend` (may be empty) is
 /// placed verbatim before the message inside the header buffer — the TCP
-/// framing length prefix rides there for free.
-/// Guarantee: chain.Flatten() == prepend + EncodeMessage(msg), byte for
-/// byte, for every message shape (asserted in net_test).
+/// framing length prefix rides there for free. Wire layout: from, to
+/// (length-prefixed), u16 type, u64 rpc_id, u8 is_response, u8 error_code,
+/// length-prefixed payload, then the optional trace trailer.
+/// Guarantee: DecodeMessage(chain.Flatten() minus prepend) round-trips
+/// every message shape (asserted in net_test).
 SliceChain EncodeMessageSlices(Message&& msg, std::string_view prepend = {});
 
-/// Parses wire bytes back into a message.
+/// Parses wire bytes (one EncodeMessageSlices chain, flattened) back into
+/// a message.
 Result<Message> DecodeMessage(std::string_view data);
 
 /// Append-path copy accounting (feeds chariots.net.copies_per_record).

@@ -75,10 +75,11 @@ void RpcEndpoint::Handle(uint16_t type, RpcHandler handler) {
   inline_types_.erase(type);
 }
 
-void RpcEndpoint::HandleInline(uint16_t type, RpcHandler handler) {
+void RpcEndpoint::HandleInline(uint16_t type, RpcHandler handler,
+                               InlineCondition condition) {
   std::lock_guard<std::mutex> lock(mu_);
   handlers_[type] = std::move(handler);
-  inline_types_.insert(type);
+  inline_types_[type] = std::move(condition);
 }
 
 void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler) {
@@ -87,7 +88,7 @@ void RpcEndpoint::HandleOneWay(uint16_t type, OneWayHandler handler) {
 }
 
 Status RpcEndpoint::Start() {
-  std::unordered_set<uint16_t> inline_types;
+  std::unordered_map<uint16_t, InlineCondition> inline_types;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (started_) return Status::FailedPrecondition("endpoint started");
@@ -96,11 +97,14 @@ Status RpcEndpoint::Start() {
   }
   InlinePredicate may_run_inline;
   if (!inline_types.empty()) {
-    // A frozen copy: the transport consults it lock-free on its I/O thread.
-    // One-way messages (rpc_id 0) share opcodes with requests and stay on
-    // the strand.
+    // A frozen copy of the opcode set, consulted on the transport's I/O
+    // thread without this endpoint's lock; the opcode's condition (if any)
+    // is evaluated per request. One-way messages (rpc_id 0) share opcodes
+    // with requests and stay on the strand.
     may_run_inline = [types = std::move(inline_types)](const Message& msg) {
-      return msg.rpc_id != 0 && types.count(msg.type) != 0;
+      if (msg.rpc_id == 0) return false;
+      auto it = types.find(msg.type);
+      return it != types.end() && (!it->second || it->second());
     };
   }
   return transport_->Register(
@@ -207,6 +211,17 @@ Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
     return Deadline::ExceededError("rpc to " + to);
   }
   CallCounter()->Add();
+  if (InlineHandlerScope::active()) {
+    // The reply could need this I/O thread to be read: waiting would stall
+    // the reactor until the timeout. Fail fast, retryable, like an
+    // unreachable peer — the caller's own failure path takes over.
+    CallErrorCounter()->Add();
+    LOG_EVERY_N_SEC(kWarn, 5)
+        << node_ << ": refused rpc to " << to
+        << " from a request handler running inline on an I/O thread";
+    return Status::Unavailable("rpc to " + to +
+                               " from an inline handler refused");
+  }
   metrics::ScopedLatencyTimer latency(metrics::Registry::Default().GetHistogram(
       "net.rpc.call_latency_ns." + ChannelOf(to)));
   auto call = std::make_shared<PendingCall>();

@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/result.h"
 #include "common/retry.h"
@@ -43,12 +42,15 @@ const trace::TraceContext& CurrentRpcTrace();
 /// the response payload or an error Status (which travels back as an error
 /// response). Handle() handlers run on the transport's per-connection
 /// strand and may block for bounded durations (nested Calls, fsync).
-/// HandleInline() handlers promise never to block, so a transport may run
+/// HandleInline() handlers promise never to block — unconditionally, or
+/// whenever their condition holds at dispatch — so a transport may run
 /// them to completion on its I/O thread (TcpTransport does when the
-/// connection's strand is idle), saving the executor handoff.
+/// connection's strand is idle), saving the executor handoff. It is the
+/// same handler either way; only the thread that runs it changes.
 ///
 /// Client side: Call() blocks for the response with a timeout; Notify() is
-/// fire-and-forget.
+/// fire-and-forget. A Call() from a request handler running inline on an
+/// I/O thread fails at once with kUnavailable (InlineHandlerScope).
 class RpcEndpoint {
  public:
   using RpcHandler =
@@ -67,10 +69,18 @@ class RpcEndpoint {
   /// Registers a request handler for `type`. Must precede Start().
   void Handle(uint16_t type, RpcHandler handler);
 
-  /// Registers a non-blocking request handler for `type`: it makes no
-  /// nested Call, does no fsync and never waits on another node. Must
-  /// precede Start(), which freezes the inline opcode set.
-  void HandleInline(uint16_t type, RpcHandler handler);
+  /// Predicate evaluated on the transport's I/O thread for each request of
+  /// an inline opcode: true when the handler cannot block right now. Must
+  /// be cheap, thread-safe and non-blocking itself.
+  using InlineCondition = std::function<bool()>;
+
+  /// Registers a request handler for `type` that makes no nested Call,
+  /// does no fsync and never waits on another node — always (null
+  /// `condition`) or whenever `condition` holds. A request whose condition
+  /// fails runs the same handler on the strand. Must precede Start(),
+  /// which freezes the inline opcode set.
+  void HandleInline(uint16_t type, RpcHandler handler,
+                    InlineCondition condition = nullptr);
 
   /// Registers a one-way handler for `type`. Must precede Start().
   void HandleOneWay(uint16_t type, OneWayHandler handler);
@@ -85,7 +95,8 @@ class RpcEndpoint {
   /// Sends a request and blocks for the response (bounded by the per-call
   /// timeout and deadline). An unreachable destination surfaces as
   /// kUnavailable and an expired budget as kTimedOut — both retryable; all
-  /// other codes come from the remote handler.
+  /// other codes come from the remote handler. Under an
+  /// InlineHandlerScope it sends nothing and returns kUnavailable.
   Result<std::string> Call(const NodeId& to, uint16_t type,
                            std::string payload, const CallOptions& options);
 
@@ -123,7 +134,7 @@ class RpcEndpoint {
   std::mutex mu_;
   bool started_ = false;
   std::unordered_map<uint16_t, RpcHandler> handlers_;
-  std::unordered_set<uint16_t> inline_types_;
+  std::unordered_map<uint16_t, InlineCondition> inline_types_;
   std::unordered_map<uint16_t, OneWayHandler> oneway_handlers_;
   std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_;
   std::atomic<uint64_t> next_rpc_id_{1};

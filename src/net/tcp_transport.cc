@@ -378,7 +378,9 @@ void TcpTransport::AdoptConn(const std::shared_ptr<Conn>& conn) {
     // A frame may already be queued (WriteFrame before adoption finished):
     // fold EPOLLOUT into the initial registration instead of racing a MOD.
     std::lock_guard<std::mutex> lock(conn->write_mu);
-    ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0);
+    uint32_t events = EPOLLIN;
+    if (conn->want_write) events |= EPOLLOUT;
+    ev.events = events;
     ::epoll_ctl(io->epfd, EPOLL_CTL_ADD, conn->fd, &ev);
   }
 }
@@ -594,7 +596,10 @@ void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg) {
   if (run_inline) {
     // Run to completion: no executor handoff, no worker wake-up.
     RequestsInlineCounter()->Add();
-    conn->gate.Run([&] { DeliverLocal(std::move(msg)); });
+    conn->gate.Run([&] {
+      InlineHandlerScope inline_handler;
+      DeliverLocal(std::move(msg));
+    });
     return;
   }
   if (!executor_->Submit(

@@ -18,7 +18,7 @@
 namespace chariots::net {
 
 /// Transport over real TCP sockets. Messages are length-prefixed frames
-/// (u32 little-endian length + EncodeMessage bytes).
+/// (u32 little-endian length + the EncodeMessageSlices bytes).
 ///
 /// Execution model (DESIGN.md §10): a nonblocking epoll reactor. One or a
 /// few I/O threads own every socket — the listener, all reads, and all
@@ -34,7 +34,11 @@ namespace chariots::net {
 /// hold for both; a request arriving behind a busy strand queues like any
 /// other. Inline handlers must never block (see MessageHandler): a cold
 /// pread inside one stalls every connection of that reactor, which more
-/// io_threads spread out. Sends try the socket inline on the caller's
+/// io_threads spread out. The reactor runs each inline request under an
+/// InlineHandlerScope, so a nested RpcEndpoint::Call from it fails fast
+/// instead of parking the thread that would read its reply. The predicate
+/// is evaluated under the registry lock; it must not call back into the
+/// transport. Sends try the socket inline on the caller's
 /// thread and fall back to a bounded per-connection write queue flushed by
 /// the reactor on EPOLLOUT.
 ///

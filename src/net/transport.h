@@ -15,14 +15,39 @@ namespace chariots::net {
 /// InlinePredicate accepts, may instead run inline on the transport's I/O
 /// thread (TcpTransport, DESIGN.md §10); such a handler must never block —
 /// no nested Call, no fsync, no wait on another node — or it stalls every
-/// connection that thread serves.
+/// connection that thread serves. A nested RpcEndpoint::Call from an inline
+/// request handler fails fast (see InlineHandlerScope).
 using MessageHandler = std::function<void(Message)>;
 
 /// Tells a transport that `msg` (an inbound request, never a response) may
 /// run to completion inline on the I/O thread that read it. Must be cheap,
-/// pure and thread-safe: it is consulted on the I/O thread for every
-/// request. A transport is free to ignore it (InProcTransport does).
+/// thread-safe and non-blocking: it is consulted on the I/O thread for
+/// every request, and may read state that decides whether the handler
+/// could wait (RpcEndpoint's per-opcode conditions do). A transport is free
+/// to ignore it (InProcTransport does).
 using InlinePredicate = std::function<bool(const Message& msg)>;
+
+/// Marks the calling thread, for the scope's lifetime, as running a request
+/// handler inline on a transport's I/O thread. TcpTransport sets it around
+/// exactly that call. RpcEndpoint::Call refuses to wait under it: the reply
+/// could need this very thread to be read, so a wrong inline pick fails
+/// fast with kUnavailable instead of stalling the reactor until the call
+/// times out. Responses and one-way sends are unaffected.
+class InlineHandlerScope {
+ public:
+  InlineHandlerScope() : outer_(active_) { active_ = true; }
+  ~InlineHandlerScope() { active_ = outer_; }
+
+  InlineHandlerScope(const InlineHandlerScope&) = delete;
+  InlineHandlerScope& operator=(const InlineHandlerScope&) = delete;
+
+  /// True while the calling thread runs an inline request handler.
+  static bool active() { return active_; }
+
+ private:
+  static inline thread_local bool active_ = false;
+  const bool outer_;
+};
 
 /// Abstract point-to-point message fabric. Implementations: InProcTransport
 /// (simulated latency/bandwidth inside one process) and TcpTransport (real

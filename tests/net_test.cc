@@ -25,6 +25,12 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// The wire bytes of `m`, via the one encoder (flattened slice chain).
+std::string WireBytes(const Message& m, std::string_view prepend = {}) {
+  Message copy = m;
+  return EncodeMessageSlices(std::move(copy), prepend).Flatten();
+}
+
 TEST(MessageCodecTest, RoundTrip) {
   Message m;
   m.from = "dc0/client/1";
@@ -34,7 +40,7 @@ TEST(MessageCodecTest, RoundTrip) {
   m.is_response = true;
   m.error_code = 3;
   m.payload = std::string("\x00\x01 binary \xff", 12);
-  auto decoded = DecodeMessage(EncodeMessage(m));
+  auto decoded = DecodeMessage(WireBytes(m));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->from, m.from);
   EXPECT_EQ(decoded->to, m.to);
@@ -45,65 +51,93 @@ TEST(MessageCodecTest, RoundTrip) {
   EXPECT_EQ(decoded->payload, m.payload);
 }
 
+// Pins the wire layout field by field, so a change to the encoder is a
+// visible format change rather than a silent one.
+TEST(MessageCodecTest, WireLayoutIsPinned) {
+  Message m;
+  m.from = "a";
+  m.to = "bc";
+  m.type = 0x0102;
+  m.rpc_id = 0x0807060504030201;
+  m.is_response = true;
+  m.error_code = 9;
+  m.payload = "xyz";
+  const std::string expected =
+      std::string("\x01\x00\x00\x00" "a" "\x02\x00\x00\x00" "bc", 11) +
+      std::string("\x02\x01", 2) +
+      std::string("\x01\x02\x03\x04\x05\x06\x07\x08", 8) +
+      std::string("\x01\x09", 2) +
+      std::string("\x03\x00\x00\x00" "xyz", 7);
+  EXPECT_EQ(WireBytes(m), expected);
+  EXPECT_EQ(WireBytes(m, "len!"), "len!" + expected);
+}
+
 TEST(MessageCodecTest, GarbageIsRejected) {
   EXPECT_FALSE(DecodeMessage("not a message").ok());
   EXPECT_FALSE(DecodeMessage("").ok());
 }
 
-// WireSize() feeds the bandwidth simulation; it must not drift from what
-// the codec actually puts on the wire.
+// WireSize() feeds the bandwidth simulation and the TCP frame length; it
+// must not drift from what the codec actually puts on the wire.
 TEST(MessageCodecTest, WireSizeMatchesEncodedSize) {
   Message m;
-  EXPECT_EQ(m.WireSize(), EncodeMessage(m).size());
+  EXPECT_EQ(m.WireSize(), WireBytes(m).size());
 
   m.from = "dc0/client/1";
   m.to = "dc1/maintainer/2";
   m.type = 42;
   m.rpc_id = 0x1234567890;
   m.payload = std::string(1000, 'x');
-  EXPECT_EQ(m.WireSize(), EncodeMessage(m).size());
+  EXPECT_EQ(m.WireSize(), WireBytes(m).size());
 
   // Active multi-hop trace: the trailer bytes must be counted too.
   m.trace.trace_id = 0xabcdef;
   m.trace.hops.push_back({"client", 0, 123});
   m.trace.hops.push_back({"batcher", 0, 456});
   m.trace.hops.push_back({"remote-receiver", 1, 789});
-  EXPECT_EQ(m.WireSize(), EncodeMessage(m).size());
+  EXPECT_EQ(m.WireSize(), WireBytes(m).size());
 }
 
 // ------------------------------------------------------ slice-chain encode
 
-// The slice-chain encode is the zero-copy twin of EncodeMessage: its
-// flattened bytes must be identical, byte for byte, for every message
-// shape — that is the invariant letting the TCP transport switch to
-// scatter-gather writes without a wire-format change.
-TEST(MessageCodecTest, SlicesFlattenIdenticalToLegacyForEveryShape) {
-  auto expect_identical = [](const Message& m, std::string_view prepend) {
-    std::string legacy = EncodeMessage(m);
+// Every message shape — inline or borrowed payload, request or error
+// response, with or without a trace trailer, with or without a prepend —
+// flattens to prepend + WireSize() bytes that decode back to the original.
+// That is what lets the TCP transport frame and scatter-gather write the
+// chain without ever flattening it.
+TEST(MessageCodecTest, SlicesRoundTripEveryShape) {
+  auto expect_round_trip = [](const Message& m, std::string_view prepend) {
     Message moved = m;
     SliceChain chain = EncodeMessageSlices(std::move(moved), prepend);
-    EXPECT_EQ(chain.size(), prepend.size() + legacy.size());
-    EXPECT_EQ(chain.Flatten(), std::string(prepend) + legacy);
-    // And the flattened bytes still decode to the original message.
-    auto decoded = DecodeMessage(
-        std::string_view(chain.Flatten()).substr(prepend.size()));
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->payload, m.payload);
+    EXPECT_EQ(chain.size(), prepend.size() + m.WireSize());
+    std::string flat = chain.Flatten();
+    EXPECT_EQ(flat.substr(0, prepend.size()), prepend);
+    auto decoded =
+        DecodeMessage(std::string_view(flat).substr(prepend.size()));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_EQ(decoded->from, m.from);
+    EXPECT_EQ(decoded->to, m.to);
+    EXPECT_EQ(decoded->type, m.type);
     EXPECT_EQ(decoded->rpc_id, m.rpc_id);
+    EXPECT_EQ(decoded->is_response, m.is_response);
+    EXPECT_EQ(decoded->error_code, m.error_code);
+    EXPECT_EQ(decoded->payload, m.payload);
+    EXPECT_EQ(decoded->trace.trace_id, m.trace.trace_id);
+    EXPECT_EQ(decoded->trace.hops, m.trace.hops);
+    EXPECT_EQ(decoded->trace.spans, m.trace.spans);
   };
 
   Message m;
-  expect_identical(m, "");  // default everything
+  expect_round_trip(m, "");  // default everything
 
   m.from = "dc0/client/1";
   m.to = "dc1/maintainer/2";
   m.type = 42;
   m.rpc_id = 0x1234567890;
-  expect_identical(m, "");  // empty payload
+  expect_round_trip(m, "");  // empty payload
 
   m.payload = "small";  // below the inline threshold: single slice
-  expect_identical(m, "len!");
+  expect_round_trip(m, "len!");
   {
     Message moved = m;
     SliceChain chain = EncodeMessageSlices(std::move(moved), "");
@@ -111,24 +145,24 @@ TEST(MessageCodecTest, SlicesFlattenIdenticalToLegacyForEveryShape) {
   }
 
   m.payload = std::string(kInlineMessagePayloadBytes, 'p');  // borrowed
-  expect_identical(m, "len!");
+  expect_round_trip(m, "len!");
 
   m.is_response = true;
   m.error_code = 7;
-  expect_identical(m, "");  // response + error shape
+  expect_round_trip(m, "");  // response + error shape
 
   m.payload = std::string("\x00\x01 binary \xff", 12);
-  expect_identical(m, std::string_view("\x00\x00\x00\x00", 4));
+  expect_round_trip(m, std::string_view("\x00\x00\x00\x00", 4));
 
   // Active multi-hop, multi-span trace: the trailer must land after the
-  // payload slice exactly as the legacy encode places it.
+  // payload slice.
   m.payload = std::string(4096, 't');
   m.trace.trace_id = 0xabcdef;
   m.trace.hops.push_back({"client", 0, 123});
   m.trace.hops.push_back({"remote-receiver", 1, 789});
-  expect_identical(m, "");
+  expect_round_trip(m, "");
   m.payload = "tiny";  // active trace + inline payload
-  expect_identical(m, "x");
+  expect_round_trip(m, "x");
 }
 
 TEST(MessageCodecTest, SlicesBorrowLargePayloadWithoutCopy) {
@@ -671,6 +705,95 @@ TEST(TcpInlineTest, StrandHandlerCanMakeNestedCallOverSameConnection) {
   auto r = p.client.Call("srv/node", kAppendOp, "x", 3000ms);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, "outer:inner:x");
+}
+
+TEST(TcpInlineTest, ConditionPicksInlineOrStrandPerRequest) {
+  // The same handler runs inline while its condition holds and on the
+  // strand when it does not; the condition is read per request.
+  TcpPair p;
+  std::atomic<bool> cannot_wait{true};
+  p.server.HandleInline(
+      kAppendOp,
+      [](const NodeId&, const std::string& q) -> Result<std::string> {
+        return q;
+      },
+      [&] { return cannot_wait.load(); });
+  ASSERT_TRUE(p.server.Start().ok());
+  ASSERT_TRUE(p.client.Start().ok());
+
+  const uint64_t inline0 = CounterValue("net.tcp.requests_inline");
+  const uint64_t queued0 = CounterValue("net.tcp.requests_queued");
+  auto r = p.client.Call("srv/node", kAppendOp, "a", 2000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(CounterValue("net.tcp.requests_inline") - inline0, 1u);
+  EXPECT_EQ(CounterValue("net.tcp.requests_queued") - queued0, 0u);
+
+  cannot_wait = false;
+  r = p.client.Call("srv/node", kAppendOp, "b", 2000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "b");
+  EXPECT_EQ(CounterValue("net.tcp.requests_inline") - inline0, 1u);
+  EXPECT_EQ(CounterValue("net.tcp.requests_queued") - queued0, 1u);
+}
+
+TEST(TcpInlineTest, CallFromInlineHandlerFailsFast) {
+  // An inline handler that breaks its promise and makes a Call over TCP:
+  // the reply would come back on a connection this reactor serves, so
+  // waiting would park the reactor for the whole timeout. The guard fails
+  // the Call at once and sends nothing; the reactor keeps serving.
+  TcpPair p;
+  TcpTransport peer_side;
+  ASSERT_TRUE(peer_side.Listen(0).ok());
+  p.server_side.AddRoute("peer", "127.0.0.1", peer_side.port());
+  std::atomic<int> peer_requests{0};
+  RpcEndpoint peer(&peer_side, "peer/node");
+  peer.Handle(kReadOp, [&](const NodeId&, const std::string&)
+                           -> Result<std::string> {
+    ++peer_requests;
+    return std::string("pong");
+  });
+  ASSERT_TRUE(peer.Start().ok());
+
+  std::atomic<int> nested_code{-1};
+  std::atomic<int64_t> nested_us{-1};
+  p.server.HandleInline(kReadOp, [&](const NodeId&, const std::string& q)
+                                     -> Result<std::string> {
+    if (q != "nested") return std::string("plain");
+    auto start = std::chrono::steady_clock::now();
+    Result<std::string> r = p.server.Call("peer/node", kReadOp, "ping", 2000ms);
+    nested_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    nested_code = static_cast<int>(r.status().code());
+    return std::string("nested");
+  });
+  ASSERT_TRUE(p.server.Start().ok());
+  ASSERT_TRUE(p.client.Start().ok());
+
+  const uint64_t inline0 = CounterValue("net.tcp.requests_inline");
+  auto r = p.client.Call("srv/node", kReadOp, "nested", 5000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(nested_code.load(), static_cast<int>(StatusCode::kUnavailable));
+  EXPECT_GE(nested_us.load(), 0);
+  EXPECT_LT(nested_us.load(), 50'000) << "the inline Call parked the reactor";
+
+  // Another connection is served inline right after.
+  TcpTransport other_side;
+  other_side.AddRoute("srv", "127.0.0.1", p.server_side.port());
+  RpcEndpoint other(&other_side, "cli/other");
+  ASSERT_TRUE(other.Start().ok());
+  r = other.Call("srv/node", kReadOp, "", 1000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "plain");
+  EXPECT_EQ(CounterValue("net.tcp.requests_inline") - inline0, 2u);
+  // Nothing went out: the peer never saw the refused request.
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(peer_requests.load(), 0);
+
+  // Off the reactor the same Call goes through.
+  auto direct = p.server.Call("peer/node", kReadOp, "ping", 2000ms);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(*direct, "pong");
 }
 
 TEST(TcpInlineTest, ShutdownFencesInlineHandlers) {
