@@ -25,9 +25,8 @@ class ScopedRpcTrace {
 // Channel label for per-channel RPC metrics: the first path component of
 // the destination node id ("geo/dc0/api" -> "geo", "m3" -> "m3" — flat ids
 // are their own channel).
-std::string ChannelOf(const NodeId& to) {
-  size_t slash = to.find('/');
-  return slash == std::string::npos ? to : to.substr(0, slash);
+std::string_view ChannelOf(std::string_view to) {
+  return to.substr(0, to.find('/'));
 }
 
 metrics::Counter* CallCounter() {
@@ -204,6 +203,19 @@ void RpcEndpoint::OnMessage(Message msg) {
 
 void RpcEndpoint::EndHandler() { std::lock_guard<std::mutex> lock(mu_); }
 
+metrics::Histogram* RpcEndpoint::CallLatencyHistogram(const NodeId& to) {
+  std::string_view channel = ChannelOf(to);
+  auto it = call_latency_.find(channel);
+  if (it == call_latency_.end()) {
+    it = call_latency_
+             .emplace(std::string(channel),
+                      metrics::Registry::Default().GetHistogram(
+                          "net.rpc.call_latency_ns." + std::string(channel)))
+             .first;
+  }
+  return it->second;
+}
+
 Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
                                       std::string payload,
                                       const CallOptions& options) {
@@ -222,15 +234,16 @@ Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
     return Status::Unavailable("rpc to " + to +
                                " from an inline handler refused");
   }
-  metrics::ScopedLatencyTimer latency(metrics::Registry::Default().GetHistogram(
-      "net.rpc.call_latency_ns." + ChannelOf(to)));
   auto call = std::make_shared<PendingCall>();
   uint64_t rpc_id = next_rpc_id_.fetch_add(1, std::memory_order_relaxed);
+  metrics::Histogram* latency_hist = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return Status::FailedPrecondition("endpoint not started");
     pending_.emplace(rpc_id, call);
+    latency_hist = CallLatencyHistogram(to);
   }
+  metrics::ScopedLatencyTimer latency(latency_hist);
 
   Message msg;
   msg.from = node_;
@@ -239,7 +252,20 @@ Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
   msg.rpc_id = rpc_id;
   msg.payload = std::move(payload);
   msg.trace = options.trace;
-  Status send_status = transport_->Send(std::move(msg));
+  auto wait = std::chrono::nanoseconds(options.timeout);
+  if (!options.deadline.IsInfinite()) {
+    wait = std::min(
+        wait, std::chrono::nanoseconds(options.deadline.RemainingNanos()));
+  }
+  const auto wait_until = std::chrono::steady_clock::now() + wait;
+  // The transport may read the reply on this thread (TcpTransport does on
+  // the endpoint's own connection); it then returns with `done` already
+  // set and the wait below falls straight through.
+  Status send_status = transport_->SendAwaitingReply(
+      std::move(msg), wait_until, [&call] {
+        std::lock_guard<std::mutex> cl(call->mu);
+        return call->done;
+      });
   if (!send_status.ok()) {
     CallErrorCounter()->Add();
     {
@@ -255,13 +281,8 @@ Result<std::string> RpcEndpoint::Call(const NodeId& to, uint16_t type,
     return send_status;
   }
 
-  auto wait = std::chrono::nanoseconds(options.timeout);
-  if (!options.deadline.IsInfinite()) {
-    wait = std::min(
-        wait, std::chrono::nanoseconds(options.deadline.RemainingNanos()));
-  }
   std::unique_lock<std::mutex> cl(call->mu);
-  if (!call->cv.wait_for(cl, wait, [&] { return call->done; })) {
+  if (!call->cv.wait_until(cl, wait_until, [&] { return call->done; })) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       pending_.erase(rpc_id);

@@ -8,6 +8,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -15,6 +17,10 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "net/transport.h"
+
+namespace chariots::metrics {
+class Histogram;
+}  // namespace chariots::metrics
 
 namespace chariots::net {
 
@@ -49,8 +55,11 @@ const trace::TraceContext& CurrentRpcTrace();
 /// same handler either way; only the thread that runs it changes.
 ///
 /// Client side: Call() blocks for the response with a timeout; Notify() is
-/// fire-and-forget. A Call() from a request handler running inline on an
-/// I/O thread fails at once with kUnavailable (InlineHandlerScope).
+/// fire-and-forget. Over TcpTransport the calling thread reads its own
+/// reply from the endpoint's connection (Transport::SendAwaitingReply), so
+/// no I/O-thread wake-up sits between the reply and the caller. A Call()
+/// from a request handler running inline on an I/O thread fails at once
+/// with kUnavailable (InlineHandlerScope).
 class RpcEndpoint {
  public:
   using RpcHandler =
@@ -95,8 +104,13 @@ class RpcEndpoint {
   /// Sends a request and blocks for the response (bounded by the per-call
   /// timeout and deadline). An unreachable destination surfaces as
   /// kUnavailable and an expired budget as kTimedOut — both retryable; all
-  /// other codes come from the remote handler. Under an
-  /// InlineHandlerScope it sends nothing and returns kUnavailable.
+  /// other codes come from the remote handler. The request goes out through
+  /// the transport's await-reply hook, which may read the reply on this
+  /// thread (a connection lost meanwhile fails the call with kUnavailable
+  /// at once); the wait on the call's condition variable is the only
+  /// blocking step otherwise, and returns at once when the hook already
+  /// delivered the reply. Under an InlineHandlerScope it sends nothing and
+  /// returns kUnavailable.
   Result<std::string> Call(const NodeId& to, uint16_t type,
                            std::string payload, const CallOptions& options);
 
@@ -127,6 +141,16 @@ class RpcEndpoint {
   /// Ends a handler invocation under mu_, which orders it before a later
   /// Stop(): the owner may then destroy what the handler touched.
   void EndHandler();
+  /// net.rpc.call_latency_ns.<channel of `to`>, resolved once per channel.
+  /// Caller holds mu_.
+  metrics::Histogram* CallLatencyHistogram(const NodeId& to);
+
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
 
   Transport* const transport_;
   const NodeId node_;
@@ -137,6 +161,9 @@ class RpcEndpoint {
   std::unordered_map<uint16_t, InlineCondition> inline_types_;
   std::unordered_map<uint16_t, OneWayHandler> oneway_handlers_;
   std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_;
+  std::unordered_map<std::string, metrics::Histogram*, StringHash,
+                     std::equal_to<>>
+      call_latency_;
   std::atomic<uint64_t> next_rpc_id_{1};
 };
 

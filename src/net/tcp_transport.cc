@@ -4,13 +4,16 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "common/logging.h"
@@ -61,6 +64,30 @@ metrics::Counter* RequestsQueuedCounter() {
   return c;
 }
 
+metrics::Counter* ConnectionsAcceptedCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("net.tcp.connections_accepted");
+  return c;
+}
+
+metrics::Counter* ReadEventsSkippedCounter() {
+  static metrics::Counter* c =
+      metrics::Registry::Default().GetCounter("net.tcp.read_events_skipped");
+  return c;
+}
+
+metrics::Counter* ResponsesReadByCallerCounter() {
+  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
+      "net.tcp.responses_read_by_caller");
+  return c;
+}
+
+metrics::Counter* ResponsesReadByReactorCounter() {
+  static metrics::Counter* c = metrics::Registry::Default().GetCounter(
+      "net.tcp.responses_read_by_reactor");
+  return c;
+}
+
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -103,34 +130,61 @@ ssize_t SendChain(int fd, const SliceChain& chain, size_t skip) {
 
 }  // namespace
 
-/// One TCP connection. The socket is owned by one reactor thread (`io`):
-/// only that thread reads `rbuf`, flushes the write queue on EPOLLOUT, and
-/// closes the fd. Senders on any thread append to the write queue under
-/// `write_mu` (trying the socket inline first). Inbound requests queue in
-/// `inbox` and are delivered one at a time by a strand task under `gate`,
-/// or run inline by the reactor under the same gate when the strand is idle;
-/// the gate also fences the transport: Shutdown() closes it, after which no
-/// handler runs for this connection again.
+/// One TCP connection. Reads belong to whoever holds the *read side*
+/// (`reading`, taken with a try-lock): the reactor, or a Call waiting on
+/// the connection (SendAwaitingReply), which withdraws EPOLLIN while it
+/// reads. Only the holder touches `rbuf` and dispatches frames. Senders on
+/// any thread append to the write queue under `write_mu` (trying the
+/// socket inline first), and the reactor flushes it on EPOLLOUT. Only the
+/// reactor closes the fd, after setting `closed` and taking the read side
+/// for good (CloseSocket). Inbound requests queue in `inbox` and are
+/// delivered one at a time by a strand task under `gate`, or run inline by
+/// the reader under the same gate when the strand is idle; the gate also
+/// fences the transport: Shutdown() closes it, after which no handler runs
+/// for this connection again.
 struct TcpTransport::Conn {
   int fd = -1;
-  IoThread* io = nullptr;
+  /// Outbound connections: the conns_ key (sending node, remote address).
+  NodeId owner;
+  std::string addr;
 
-  std::string rbuf;  // partial inbound frame (reactor thread only)
+  std::atomic<bool> reading{false};  // the read side is held
+  std::string rbuf;  // partial inbound frame (read-side holder only)
 
   std::mutex write_mu;
+  IoThread* io = nullptr;  // set at adoption
   /// Encoded frames as slice chains — large payloads are borrowed via
   /// refcounted Buffers, never copied into the queue. Front may be partly
   /// sent.
   std::deque<SliceChain> wq;
   size_t woff = 0;    // bytes of wq.front() already sent
   size_t wbytes = 0;  // unsent bytes across the whole queue
-  bool want_write = false;  // EPOLLOUT armed (or will be at adoption)
+  bool want_write = false;      // EPOLLOUT armed (or will be at adoption)
+  bool caller_reading = false;  // EPOLLIN withdrawn: a caller reads
   bool closed = false;
 
   std::mutex in_mu;
   std::deque<Message> inbox;
   bool drain_scheduled = false;
   SerialGate gate;
+
+  bool TryAcquireRead() {
+    return !reading.exchange(true, std::memory_order_acquire);
+  }
+  void ReleaseRead() {
+    reading.store(false, std::memory_order_release);
+    reading.notify_all();
+  }
+
+  /// Re-registers the epoll interest after want_write or caller_reading
+  /// changed. Caller holds write_mu; a no-op before adoption (AdoptConn
+  /// registers the current interest) and once closed (deregistered).
+  void ArmLocked();
+  /// The epoll events this connection wants now. Caller holds write_mu.
+  uint32_t InterestLocked() const {
+    return (caller_reading ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+           (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+  }
 };
 
 /// One reactor: an epoll instance plus the connections registered with it.
@@ -146,6 +200,14 @@ struct TcpTransport::IoThread {
   std::unordered_map<Conn*, std::shared_ptr<Conn>> conns;
   std::thread thread;
 };
+
+void TcpTransport::Conn::ArmLocked() {
+  if (io == nullptr || closed) return;
+  epoll_event ev{};
+  ev.events = InterestLocked();
+  ev.data.ptr = this;
+  ::epoll_ctl(io->epfd, EPOLL_CTL_MOD, fd, &ev);
+}
 
 TcpTransport::TcpTransport() : TcpTransport(Options{}) {}
 
@@ -238,8 +300,22 @@ Status TcpTransport::Register(const NodeId& node, MessageHandler handler,
 }
 
 Status TcpTransport::Unregister(const NodeId& node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (local_.erase(node) == 0) return Status::NotFound("node: " + node);
+  std::unordered_map<std::string, std::shared_ptr<Conn>> owned;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (local_.erase(node) == 0) return Status::NotFound("node: " + node);
+    auto it = conns_.find(node);
+    if (it != conns_.end()) {
+      owned = std::move(it->second);
+      conns_.erase(it);
+    }
+  }
+  // The node's own connections go with it: shutdown(2) wakes a Call
+  // reading one, and the reactor closes them on the EPOLLHUP it raises.
+  for (auto& [_, conn] : owned) {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (!conn->closed) ::shutdown(conn->fd, SHUT_RDWR);
+  }
   return Status::OK();
 }
 
@@ -257,57 +333,115 @@ void TcpTransport::DeliverLocal(Message msg) {
   handler(std::move(msg));
 }
 
-Status TcpTransport::Send(Message msg) {
+Result<TcpTransport::Route> TcpTransport::RouteOf(const Message& msg) {
   std::string addr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto local = local_.find(msg.to);
-    if (local != local_.end()) {
-      // Local shortcut — deliver on the caller thread.
-      MessageHandler handler = local->second.handler;
-      // Drop the lock before invoking user code.
-      // (handler copy keeps it alive.)
-      mu_.unlock();
-      handler(std::move(msg));
-      mu_.lock();
-      return Status::OK();
-    }
-    size_t best = 0;
-    bool found = false;
+    // Local shortcut: delivered on the caller thread, outside the lock
+    // (the handler copy keeps it alive).
+    if (local != local_.end()) return Route{local->second.handler, {}, false};
+    const std::string* best = nullptr;
+    size_t best_len = 0;
     for (const auto& [prefix, a] : routes_) {
       if (msg.to.rfind(prefix, 0) == 0 &&
-          (!found || prefix.size() >= best)) {
-        best = prefix.size();
-        addr = a;
-        found = true;
+          (best == nullptr || prefix.size() >= best_len)) {
+        best_len = prefix.size();
+        best = &a;
       }
     }
-    if (!found) {
+    if (best == nullptr) {
       // No static route: try the connection the peer was learned on.
       auto it = learned_.find(msg.to);
       if (it != learned_.end()) {
         if (std::shared_ptr<Conn> conn = it->second.lock()) {
-          // Write outside the registry lock.
-          mu_.unlock();
-          Status s = WriteFrame(conn, std::move(msg));
-          mu_.lock();
-          return s;
+          return Route{{}, std::move(conn), false};
         }
         learned_.erase(it);
       }
       return Status::NotFound("no route to " + msg.to);
     }
+    auto node = conns_.find(msg.from);
+    if (node != conns_.end()) {
+      auto it = node->second.find(*best);
+      if (it != node->second.end()) return Route{{}, it->second, true};
+    }
+    addr = *best;
   }
-  CHARIOTS_ASSIGN_OR_RETURN(std::shared_ptr<Conn> conn, GetOrConnect(addr));
-  return WriteFrame(conn, std::move(msg));
+  CHARIOTS_ASSIGN_OR_RETURN(std::shared_ptr<Conn> conn,
+                            GetOrConnect(msg.from, addr));
+  return Route{{}, std::move(conn), true};
+}
+
+Status TcpTransport::Send(Message msg) {
+  CHARIOTS_ASSIGN_OR_RETURN(Route route, RouteOf(msg));
+  if (route.local) {
+    route.local(std::move(msg));
+    return Status::OK();
+  }
+  return WriteFrame(route.conn, std::move(msg));
+}
+
+Status TcpTransport::SendAwaitingReply(
+    Message request, std::chrono::steady_clock::time_point deadline,
+    const std::function<bool()>& done) {
+  CHARIOTS_ASSIGN_OR_RETURN(Route route, RouteOf(request));
+  if (route.local) {
+    route.local(std::move(request));
+    return Status::OK();
+  }
+  // Only the sender's own connection is read here: a learned connection
+  // belongs to the peer that opened it, and one whose read side is held
+  // is already being read — its holder delivers this reply too.
+  const std::shared_ptr<Conn>& conn = route.conn;
+  if (!route.owned || !conn->TryAcquireRead()) {
+    return WriteFrame(conn, std::move(request));
+  }
+  // The read side is taken before the request leaves, so the reply cannot
+  // reach the reactor first.
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (!conn->closed) {
+      conn->caller_reading = true;
+      conn->ArmLocked();
+    }
+  }
+  Status s = WriteFrame(conn, std::move(request));
+  bool open = true;
+  while (s.ok() && !done()) {
+    auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) break;
+    // Rounded up, so the deadline has passed when poll times out.
+    const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left);
+    pollfd pfd{conn->fd, POLLIN, 0};
+    int n = ::poll(&pfd, 1,
+                   static_cast<int>(std::min<int64_t>(ms.count(), INT32_MAX)));
+    if (n < 0 && errno != EINTR) open = false;
+    if (n > 0) open = ReadFrames(conn, /*by_caller=*/true);
+    if (!open) {
+      if (!done()) s = Status::Unavailable("connection closed");
+      break;
+    }
+  }
+  if (!open) {
+    // Only the reactor closes a socket: shutdown(2) raises EPOLLHUP for it,
+    // and the next send to this peer reconnects.
+    ::shutdown(conn->fd, SHUT_RDWR);
+    Unroute(conn);
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->caller_reading = false;
+    conn->ArmLocked();
+  }
+  conn->ReleaseRead();
+  return s;
 }
 
 Result<std::shared_ptr<TcpTransport::Conn>> TcpTransport::GetOrConnect(
-    const std::string& addr) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = conns_.find(addr);
-    if (it != conns_.end()) return it->second;
+    const NodeId& from, const std::string& addr) {
+  if (shutdown_.load(std::memory_order_acquire)) {
+    return Status::Unavailable("tcp transport shut down");
   }
   CHARIOTS_RETURN_IF_ERROR(EnsureIoThreads());
   // Parse host:port.
@@ -346,9 +480,11 @@ Result<std::shared_ptr<TcpTransport::Conn>> TcpTransport::GetOrConnect(
 
   auto conn = std::make_shared<Conn>();
   conn->fd = fd;
+  conn->owner = from;
+  conn->addr = addr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = conns_.emplace(addr, conn);
+    auto [it, inserted] = conns_[from].emplace(addr, conn);
     if (!inserted) {
       // Lost a race; use the existing connection.
       ::close(fd);
@@ -367,22 +503,19 @@ void TcpTransport::AdoptConn(const std::shared_ptr<Conn>& conn) {
                      io_threads_.size()]
              .get();
   }
-  conn->io = io;
   {
     std::lock_guard<std::mutex> lock(io->conns_mu);
     io->conns[conn.get()] = conn;
   }
+  // A frame may already be queued, or a caller already reading (both
+  // before adoption finished): fold them into the initial registration
+  // instead of racing a MOD.
+  std::lock_guard<std::mutex> lock(conn->write_mu);
+  conn->io = io;
   epoll_event ev{};
+  ev.events = conn->InterestLocked();
   ev.data.ptr = conn.get();
-  {
-    // A frame may already be queued (WriteFrame before adoption finished):
-    // fold EPOLLOUT into the initial registration instead of racing a MOD.
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    uint32_t events = EPOLLIN;
-    if (conn->want_write) events |= EPOLLOUT;
-    ev.events = events;
-    ::epoll_ctl(io->epfd, EPOLL_CTL_ADD, conn->fd, &ev);
-  }
+  ::epoll_ctl(io->epfd, EPOLL_CTL_ADD, conn->fd, &ev);
 }
 
 Status TcpTransport::WriteFrame(const std::shared_ptr<Conn>& conn,
@@ -428,13 +561,7 @@ Status TcpTransport::WriteFrame(const std::shared_ptr<Conn>& conn,
   conn->wq.push_back(std::move(chain));
   if (!conn->want_write) {
     conn->want_write = true;
-    if (conn->io != nullptr) {
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLOUT;
-      ev.data.ptr = conn.get();
-      ::epoll_ctl(conn->io->epfd, EPOLL_CTL_MOD, conn->fd, &ev);
-    }
-    // conn->io == nullptr: adoption in flight; AdoptConn arms EPOLLOUT.
+    conn->ArmLocked();  // before adoption: AdoptConn arms EPOLLOUT
   }
   return Status::OK();
 }
@@ -499,6 +626,7 @@ void TcpTransport::AcceptReady() {
       if (errno == EINTR) continue;
       return;  // EAGAIN (drained) or listener closed
     }
+    ConnectionsAcceptedCounter()->Add();
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>();
@@ -513,6 +641,19 @@ void TcpTransport::AcceptReady() {
 
 void TcpTransport::HandleReadable(IoThread* io,
                                   const std::shared_ptr<Conn>& conn) {
+  // A caller holding the read side withdrew EPOLLIN and reads what
+  // arrives; this event predates that.
+  if (!conn->TryAcquireRead()) {
+    ReadEventsSkippedCounter()->Add();
+    return;
+  }
+  const bool open = ReadFrames(conn, /*by_caller=*/false);
+  conn->ReleaseRead();
+  if (!open) CloseConn(io, conn);
+}
+
+bool TcpTransport::ReadFrames(const std::shared_ptr<Conn>& conn,
+                              bool by_caller) {
   char buf[65536];
   for (;;) {
     ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
@@ -520,14 +661,10 @@ void TcpTransport::HandleReadable(IoThread* io,
       conn->rbuf.append(buf, static_cast<size_t>(r));
       continue;
     }
-    if (r == 0) {  // clean EOF
-      CloseConn(io, conn);
-      return;
-    }
+    if (r == 0) return false;  // clean EOF
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConn(io, conn);
-    return;
+    return false;
   }
   // Parse every complete frame out of the buffer.
   size_t pos = 0;
@@ -540,8 +677,7 @@ void TcpTransport::HandleReadable(IoThread* io,
     }
     if (len > kMaxFrameBytes) {
       LOG_ERROR << "tcp: oversized frame (" << len << " bytes); closing";
-      CloseConn(io, conn);
-      return;
+      return false;
     }
     if (rbuf.size() - pos - 4 < len) break;
     FramesReceivedCounter()->Add();
@@ -552,36 +688,43 @@ void TcpTransport::HandleReadable(IoThread* io,
     if (!msg.ok()) {
       LOG_ERROR << "tcp: undecodable frame; closing: "
                 << msg.status().ToString();
-      CloseConn(io, conn);
-      return;
+      return false;
     }
-    Dispatch(conn, std::move(msg).value());
+    Dispatch(conn, std::move(msg).value(), by_caller);
   }
   rbuf.erase(0, pos);
+  return true;
 }
 
-void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg) {
+void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg,
+                            bool by_caller) {
+  if (msg.is_response) {
+    // On the reading thread: response handlers only complete pending calls
+    // and never block, and this path must not depend on a free worker.
+    (by_caller ? ResponsesReadByCallerCounter()
+               : ResponsesReadByReactorCounter())
+        ->Add();
+    DeliverLocal(std::move(msg));
+    return;
+  }
   bool may_run_inline = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Peer learning: the sender is reachable over this connection.
-    if (!msg.from.empty()) learned_[msg.from] = conn;
-    if (!msg.is_response) {
-      auto it = local_.find(msg.to);
-      may_run_inline = it != local_.end() && it->second.may_run_inline &&
-                       it->second.may_run_inline(msg);
+    // Peer learning: the requester is reachable over this connection.
+    // Learned from requests only, so a peer's replies arriving on several
+    // endpoints' connections cannot flip its entry between them.
+    if (!msg.from.empty()) {
+      std::weak_ptr<Conn>& seen = learned_[msg.from];
+      if (seen.lock() != conn) seen = conn;
     }
-  }
-  if (msg.is_response) {
-    // Inline on the reactor: response handlers only complete pending calls
-    // and never block, and this path must not depend on a free worker.
-    DeliverLocal(std::move(msg));
-    return;
+    auto it = local_.find(msg.to);
+    may_run_inline = it != local_.end() && it->second.may_run_inline &&
+                     it->second.may_run_inline(msg);
   }
   bool run_inline;
   {
     std::lock_guard<std::mutex> lock(conn->in_mu);
-    // Only this reactor thread schedules drains for `conn`, so an idle
+    // Only the read-side holder schedules drains for `conn`, so an idle
     // strand stays idle until an inline request returns: running it here
     // keeps the connection's FIFO.
     run_inline =
@@ -650,10 +793,7 @@ void TcpTransport::HandleWritable(IoThread* io,
     }
     if (!fatal) {
       conn->want_write = false;
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = conn.get();
-      ::epoll_ctl(io->epfd, EPOLL_CTL_MOD, conn->fd, &ev);
+      conn->ArmLocked();  // keeps EPOLLIN withdrawn while a caller reads
       return;
     }
   }
@@ -667,18 +807,45 @@ void TcpTransport::CloseConn(IoThread* io,
     if (io->conns.erase(conn.get()) == 0) return;  // already closed
   }
   ::epoll_ctl(io->epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  CloseSocket(conn.get());
+  Unroute(conn);
+  // Its strand may still be delivering a request: keep it for Shutdown()
+  // to fence until the drain ends. (Inline bodies run under the read side,
+  // which CloseSocket has waited out.)
+  std::lock_guard<std::mutex> lock(mu_);
+  retired_.push_back(conn);
+  std::erase_if(retired_, [](const std::shared_ptr<Conn>& c) {
+    std::lock_guard<std::mutex> in(c->in_mu);
+    return !c->drain_scheduled;
+  });
+}
+
+void TcpTransport::CloseSocket(Conn* conn) {
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     conn->closed = true;
     conn->wq.clear();
     conn->wbytes = 0;
   }
+  // Wake a caller polling the socket, wait until it lets go of the read
+  // side, and keep it: nobody reads this connection again, so the fd can
+  // be closed without a poller on it.
+  ::shutdown(conn->fd, SHUT_RDWR);
+  while (!conn->TryAcquireRead()) {
+    conn->reading.wait(true, std::memory_order_acquire);
+  }
   ::close(conn->fd);
-  // Drop it from the routing tables so the next Send reconnects instead of
-  // writing into a dead socket.
+}
+
+void TcpTransport::Unroute(const std::shared_ptr<Conn>& conn) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    it = (it->second == conn) ? conns_.erase(it) : std::next(it);
+  auto node = conns_.find(conn->owner);
+  if (node != conns_.end()) {
+    auto it = node->second.find(conn->addr);
+    if (it != node->second.end() && it->second == conn) {
+      node->second.erase(it);
+      if (node->second.empty()) conns_.erase(node);
+    }
   }
   for (auto it = learned_.begin(); it != learned_.end();) {
     std::shared_ptr<Conn> target = it->second.lock();
@@ -715,31 +882,30 @@ void TcpTransport::Shutdown() {
   for (IoThread* io : ios) {
     if (io->thread.joinable()) io->thread.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    for (auto& io : io_threads_) {
-      for (auto& [_, conn] : io->conns) {
-        {
-          std::lock_guard<std::mutex> wl(conn->write_mu);
-          conn->closed = true;
-        }
-        ::close(conn->fd);
-        all.push_back(conn);
-      }
-      io->conns.clear();
-      ::close(io->epfd);
-      ::close(io->wakeup_fd);
-    }
+  for (IoThread* io : ios) {
+    std::lock_guard<std::mutex> lock(io->conns_mu);
+    for (auto& [_, conn] : io->conns) all.push_back(conn);
+    io->conns.clear();
+  }
+  // With the reactors gone this thread is the closer. A caller reading a
+  // connection may be delivering a message (its handler may send, so may
+  // take io_mu_): no lock is held while waiting it out.
+  for (auto& conn : all) CloseSocket(conn.get());
+  for (IoThread* io : ios) {
+    ::close(io->epfd);
+    ::close(io->wakeup_fd);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     conns_.clear();
     accepted_.clear();
     learned_.clear();
+    all.insert(all.end(), retired_.begin(), retired_.end());
+    retired_.clear();
   }
-  // Fence the strands: after Close() no queued DrainInbox body will touch
-  // this transport again (undelivered requests are dropped, like the
-  // in-flight messages a real crash loses).
+  // Fence the strands, of connections closed earlier too: after Close() no
+  // queued DrainInbox body will touch this transport again (undelivered
+  // requests are dropped, like the in-flight messages a real crash loses).
   for (auto& conn : all) conn->gate.Close();
 }
 

@@ -2,8 +2,10 @@
 #define CHARIOTS_NET_TCP_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,37 +23,62 @@ namespace chariots::net {
 /// (u32 little-endian length + the EncodeMessageSlices bytes).
 ///
 /// Execution model (DESIGN.md §10): a nonblocking epoll reactor. One or a
-/// few I/O threads own every socket — the listener, all reads, and all
-/// queued writes — so the thread count is a constant, not one reader per
-/// connection. Inbound *responses* are delivered inline on the reactor
-/// thread, so a worker blocked inside a handler waiting on a Call() is
-/// unblocked even when every worker is busy. Inbound *requests* run on a
-/// per-connection strand (serial, FIFO) of the shared executor — except
-/// that a request the destination's InlinePredicate accepts runs to
-/// completion inline on the reactor when that strand is idle (inbox empty,
-/// no drain scheduled or running). Inline requests go through the same
-/// gate as the strand, so per-connection FIFO and the Shutdown() fence
-/// hold for both; a request arriving behind a busy strand queues like any
-/// other. Inline handlers must never block (see MessageHandler): a cold
-/// pread inside one stalls every connection of that reactor, which more
-/// io_threads spread out. The reactor runs each inline request under an
-/// InlineHandlerScope, so a nested RpcEndpoint::Call from it fails fast
-/// instead of parking the thread that would read its reply. The predicate
-/// is evaluated under the registry lock; it must not call back into the
-/// transport. Sends try the socket inline on the caller's
-/// thread and fall back to a bounded per-connection write queue flushed by
-/// the reactor on EPOLLOUT.
+/// few I/O threads own the listener and, by default, every socket's reads
+/// and queued writes — so the thread count is a constant, not one reader
+/// per connection. Inbound *requests* run on a per-connection strand
+/// (serial, FIFO) of the shared executor — except that a request the
+/// destination's InlinePredicate accepts runs to completion inline on the
+/// thread that read it when that strand is idle (inbox empty, no drain
+/// scheduled or running). Inline requests go through the same gate as the
+/// strand, so per-connection FIFO and the Shutdown() fence hold for both;
+/// a request arriving behind a busy strand queues like any other. Inline
+/// handlers must never block (see MessageHandler): a cold pread inside one
+/// stalls every connection of that reactor, which more io_threads spread
+/// out. Each inline request runs under an InlineHandlerScope, so a nested
+/// RpcEndpoint::Call from it fails fast instead of parking the thread that
+/// would read its reply. The predicate is evaluated under the registry
+/// lock; it must not call back into the transport.
+///
+/// Who reads a socket: whoever holds the connection's *read side*, taken
+/// with a try-lock. Normally the reactor. A Call (SendAwaitingReply) on the
+/// sending node's own outbound connection takes it before its request
+/// leaves, withdraws the reactor's EPOLLIN interest, and blocks in poll(2)
+/// on the socket until its reply is delivered or its deadline passes — the
+/// reply reaches the waiting caller with no reactor wake-up in between.
+/// Both readers run one frame reader (ReadFrames), so inbound responses,
+/// inline requests and strand hand-offs behave the same whoever reads. A
+/// caller that finds the read side held sends and waits on its condition
+/// variable; the holder delivers its reply. Inbound responses otherwise
+/// run inline on the reactor, so a worker blocked in a nested Call is
+/// unblocked even when every worker is busy.
+///
+/// Connections are keyed by (local sending node, remote address): every
+/// endpoint has its own socket and server strand, and FIFO per (from, to)
+/// holds. Only the reactor (or Shutdown(), after joining it) closes a
+/// socket, and never while a caller holds its read side: shutdown(2)
+/// first wakes the caller's poll. Unregister(node) shuts the node's own
+/// connections down, which also ends any Call reading one; Shutdown()
+/// does the same for all.
+///
+/// Sends try the socket inline on the caller's thread and fall back to a
+/// bounded per-connection write queue flushed by the reactor on EPOLLOUT.
 ///
 /// Counters: net.tcp.requests_inline / net.tcp.requests_queued count
-/// inbound requests by path (queued = one executor handoff each).
+/// inbound requests by path (queued = one executor handoff each);
+/// net.tcp.responses_read_by_caller / net.tcp.responses_read_by_reactor
+/// count inbound responses by the thread that read them;
+/// net.tcp.read_events_skipped counts EPOLLIN events the reactor dropped
+/// because a caller held the read side (0 when the withdrawal works);
+/// net.tcp.connections_accepted counts accepted sockets.
 ///
 /// Routing: local nodes are registered handlers; remote nodes are reached via
 /// prefix routes installed with AddRoute("dc1", "127.0.0.1:7001"). Longest
 /// matching prefix wins. A message whose destination resolves locally is
 /// delivered without touching a socket. Additionally, the transport LEARNS
-/// peers: a node id seen as the sender on an inbound connection becomes
-/// reachable over that connection — so servers can answer clients they
-/// have no static route to (clients connect from ephemeral addresses).
+/// peers: a node id seen as the sender of a request on an inbound
+/// connection becomes reachable over that connection — so servers can
+/// answer clients they have no static route to (clients connect from
+/// ephemeral addresses).
 class TcpTransport : public Transport {
  public:
   struct Options {
@@ -79,10 +106,15 @@ class TcpTransport : public Transport {
 
   Status Register(const NodeId& node, MessageHandler handler,
                   InlinePredicate may_run_inline = nullptr) override;
+  /// Also shuts down the node's own outbound connections.
   Status Unregister(const NodeId& node) override;
   Status Send(Message msg) override;
+  Status SendAwaitingReply(Message request,
+                           std::chrono::steady_clock::time_point deadline,
+                           const std::function<bool()>& done) override;
 
-  /// Closes all sockets and joins the reactor threads.
+  /// Closes all sockets and joins the reactor threads. Later remote sends
+  /// fail with Unavailable.
   void Shutdown();
 
  private:
@@ -93,16 +125,31 @@ class TcpTransport : public Transport {
     InlinePredicate may_run_inline;  // null: every request on the strand
   };
 
+  /// Where a message goes: a local handler, or a connection.
+  struct Route {
+    MessageHandler local;
+    std::shared_ptr<Conn> conn;
+    /// `conn` is the sender's own outbound connection (keyed by msg.from),
+    /// which a Call may read.
+    bool owned = false;
+  };
+
   void ReactorLoop(size_t index);
   /// Accept-ready on the listener (reactor thread 0 only).
   void AcceptReady();
-  /// Drains the socket and dispatches every complete frame (reactor only).
+  /// Reads the socket if no caller holds its read side (reactor only).
   void HandleReadable(IoThread* io, const std::shared_ptr<Conn>& conn);
   /// Flushes the write queue; disarms EPOLLOUT when drained (reactor only).
   void HandleWritable(IoThread* io, const std::shared_ptr<Conn>& conn);
-  /// One decoded inbound message: peer-learn, then responses and idle-strand
-  /// inline-eligible requests run here; other requests go to the strand.
-  void Dispatch(const std::shared_ptr<Conn>& conn, Message msg);
+  /// The one frame reader, run by the holder of the read side: drains the
+  /// socket and dispatches every complete frame. False when the connection
+  /// is finished (EOF, error, bad frame); the caller must not close it.
+  bool ReadFrames(const std::shared_ptr<Conn>& conn, bool by_caller);
+  /// One decoded inbound message: responses and idle-strand inline-eligible
+  /// requests run on this thread; other requests go to the strand. Peers
+  /// are learned from requests.
+  void Dispatch(const std::shared_ptr<Conn>& conn, Message msg,
+                bool by_caller);
   /// Per-connection strand body: delivers queued requests one at a time.
   void DrainInbox(const std::shared_ptr<Conn>& conn);
   void DeliverLocal(Message msg);
@@ -110,10 +157,19 @@ class TcpTransport : public Transport {
   /// writes it — inline via sendmsg if the queue is empty, else queued,
   /// arming EPOLLOUT. Thread-safe.
   Status WriteFrame(const std::shared_ptr<Conn>& conn, Message msg);
+  Result<Route> RouteOf(const Message& msg);
   /// Removes the connection from its reactor and the routing tables and
-  /// closes the socket.
+  /// closes the socket (reactor only).
   void CloseConn(IoThread* io, const std::shared_ptr<Conn>& conn);
-  Result<std::shared_ptr<Conn>> GetOrConnect(const std::string& addr);
+  /// Marks the connection closed, wakes and waits out a caller reading it,
+  /// then closes the fd.
+  static void CloseSocket(Conn* conn);
+  /// Drops the connection from conns_, learned_ and accepted_, so the next
+  /// send reconnects.
+  void Unroute(const std::shared_ptr<Conn>& conn);
+  /// The (from, addr) outbound connection, connecting it if needed.
+  Result<std::shared_ptr<Conn>> GetOrConnect(const NodeId& from,
+                                             const std::string& addr);
   /// Registers a socket with a reactor thread (round-robin for accepted
   /// and outbound connections alike).
   void AdoptConn(const std::shared_ptr<Conn>& conn);
@@ -132,9 +188,15 @@ class TcpTransport : public Transport {
   std::mutex mu_;
   std::unordered_map<NodeId, LocalNode> local_;
   std::vector<std::pair<std::string, std::string>> routes_;  // prefix -> addr
-  std::unordered_map<std::string, std::shared_ptr<Conn>> conns_;
+  /// Outbound connections: local sending node -> remote address -> conn.
+  std::unordered_map<NodeId,
+                     std::unordered_map<std::string, std::shared_ptr<Conn>>>
+      conns_;
   std::vector<std::shared_ptr<Conn>> accepted_;
-  /// Peer learning: sender node id -> connection it was last seen on.
+  /// Closed connections whose strand was still draining when they closed;
+  /// Shutdown() fences them with the live ones.
+  std::vector<std::shared_ptr<Conn>> retired_;
+  /// Peer learning: requesting node id -> connection it was last seen on.
   std::unordered_map<NodeId, std::weak_ptr<Conn>> learned_;
 };
 

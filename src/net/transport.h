@@ -1,6 +1,7 @@
 #ifndef CHARIOTS_NET_TRANSPORT_H_
 #define CHARIOTS_NET_TRANSPORT_H_
 
+#include <chrono>
 #include <functional>
 
 #include "common/status.h"
@@ -69,6 +70,23 @@ class Transport {
   /// destination was never registered (delivery failures after a successful
   /// Send are silent, like a real network).
   virtual Status Send(Message msg) = 0;
+
+  /// RpcEndpoint::Call's await-reply hook: sends `request` like Send(),
+  /// then, when the transport can, reads the (from, to) connection on the
+  /// calling thread until `done()` holds or `deadline` passes, delivering
+  /// every message it reads exactly as its own I/O thread would — so the
+  /// reply completes the caller's wait before this returns. It sends the
+  /// request itself so the transport can claim the reply's read path
+  /// before the request leaves; claimed after a plain Send(), the reply
+  /// can beat the caller to it. The default only sends; the caller then
+  /// waits for the transport's delivery thread (InProcTransport). Returns
+  /// Send()'s status, or Unavailable when the connection closed while
+  /// `done()` was still false.
+  virtual Status SendAwaitingReply(
+      Message request, std::chrono::steady_clock::time_point /*deadline*/,
+      const std::function<bool()>& /*done*/) {
+    return Send(std::move(request));
+  }
 };
 
 }  // namespace chariots::net

@@ -188,7 +188,9 @@ TEST(FLStoreIntegrationTest, AppendBatchOneRoundTrip) {
   uint32_t owner = cluster.journal_.MaintainerFor((*lids)[0]);
   for (size_t i = 0; i < lids->size(); ++i) {
     EXPECT_EQ(cluster.journal_.MaintainerFor((*lids)[i]), owner);
-    if (i > 0) EXPECT_GT((*lids)[i], (*lids)[i - 1]);
+    if (i > 0) {
+      EXPECT_GT((*lids)[i], (*lids)[i - 1]);
+    }
     auto read = client->Read((*lids)[i]);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->body, "b" + std::to_string(i));

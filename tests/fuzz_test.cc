@@ -328,7 +328,9 @@ TEST_P(ControlPlaneFuzzTest, MetaWalFrameScanNeverCrashes) {
     ASSERT_TRUE(r.ok()) << "cut " << cut << ": " << r.status();
     EXPECT_LE(valid, cut);
     EXPECT_LE(count, bodies.size());
-    if (r->has_value()) EXPECT_TRUE(is_known_body(**r)) << "cut " << cut;
+    if (r->has_value()) {
+      EXPECT_TRUE(is_known_body(**r)) << "cut " << cut;
+    }
   }
   // Random single-bit corruption anywhere in the image.
   for (int i = 0; i < 300; ++i) {
@@ -337,7 +339,9 @@ TEST_P(ControlPlaneFuzzTest, MetaWalFrameScanNeverCrashes) {
     mutated[pos] ^= static_cast<char>(1u << rng.Uniform(8));
     auto r = storage::MetaWal::ScanLastFrame(mutated);
     ASSERT_TRUE(r.ok()) << "flip at " << pos << ": " << r.status();
-    if (r->has_value()) EXPECT_TRUE(is_known_body(**r)) << "flip at " << pos;
+    if (r->has_value()) {
+      EXPECT_TRUE(is_known_body(**r)) << "flip at " << pos;
+    }
   }
 }
 

@@ -4,11 +4,15 @@
 #   tools/run_tsan_tests.sh              # TSan, all tests
 #   tools/run_tsan_tests.sh address      # ASan, all tests
 #   tools/run_tsan_tests.sh thread common_test maintainer_test
-#   tools/run_tsan_tests.sh thread executor_test net_test  # runtime focus
+#   tools/run_tsan_tests.sh thread executor_test net_test tcp_append_test \
+#       tcp_call_test                                    # runtime focus
 #
 # The full run covers the executor runtime end to end: executor_test
-# (scheduler, timers, shutdown races) and net_test (epoll TCP reactor +
-# threadless inproc transport) run under the sanitizer along with every
+# (scheduler, timers, shutdown races), net_test (epoll TCP reactor +
+# threadless inproc transport), tcp_append_test (appends inline on the
+# reactor) and tcp_call_test (callers reading their own replies, and the
+# close/stop hand-off of a socket's read side between caller and
+# reactor) run under the sanitizer along with every
 # consumer of the shared pool. It also covers the memory-speed read path:
 # read_path_test (tail cache / client read-through cache / version index)
 # and the Hermes replication suite in replication_test — the INV/VAL
