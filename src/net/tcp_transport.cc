@@ -133,7 +133,9 @@ ssize_t SendChain(int fd, const SliceChain& chain, size_t skip) {
 /// One TCP connection. Reads belong to whoever holds the *read side*
 /// (`reading`, taken with a try-lock): the reactor, or a Call waiting on
 /// the connection (SendAwaitingReply), which withdraws EPOLLIN while it
-/// reads. Only the holder touches `rbuf` and dispatches frames. Senders on
+/// reads and also polls `wake_fd`, so a reply delivered by another reader
+/// still ends its wait. Only the holder touches `rbuf` and dispatches
+/// frames. Senders on
 /// any thread append to the write queue under `write_mu` (trying the
 /// socket inline first), and the reactor flushes it on EPOLLOUT. Only the
 /// reactor closes the fd, after setting `closed` and taking the read side
@@ -150,6 +152,10 @@ struct TcpTransport::Conn {
 
   std::atomic<bool> reading{false};  // the read side is held
   std::string rbuf;  // partial inbound frame (read-side holder only)
+  /// Outbound connections: an eventfd written (under write_mu, while open)
+  /// for the caller awaiting reply `awaited_rpc` (0: no caller reads).
+  int wake_fd = -1;
+  std::atomic<uint64_t> awaited_rpc{0};
 
   std::mutex write_mu;
   IoThread* io = nullptr;  // set at adoption
@@ -341,6 +347,22 @@ Result<TcpTransport::Route> TcpTransport::RouteOf(const Message& msg) {
     // Local shortcut: delivered on the caller thread, outside the lock
     // (the handler copy keeps it alive).
     if (local != local_.end()) return Route{local->second.handler, {}, false};
+    // The connection the peer was learned on, dropping a dead entry.
+    auto learned = [&]() -> std::shared_ptr<Conn> {
+      auto it = learned_.find(msg.to);
+      if (it == learned_.end()) return nullptr;
+      std::shared_ptr<Conn> conn = it->second.lock();
+      if (conn == nullptr) learned_.erase(it);
+      return conn;
+    };
+    // A reply goes back on the connection its request arrived on, where
+    // the caller may be reading it (SendAwaitingReply) — even when a static
+    // route to the caller's prefix would open another one.
+    if (msg.is_response) {
+      if (std::shared_ptr<Conn> conn = learned()) {
+        return Route{{}, std::move(conn), false};
+      }
+    }
     const std::string* best = nullptr;
     size_t best_len = 0;
     for (const auto& [prefix, a] : routes_) {
@@ -352,12 +374,8 @@ Result<TcpTransport::Route> TcpTransport::RouteOf(const Message& msg) {
     }
     if (best == nullptr) {
       // No static route: try the connection the peer was learned on.
-      auto it = learned_.find(msg.to);
-      if (it != learned_.end()) {
-        if (std::shared_ptr<Conn> conn = it->second.lock()) {
-          return Route{{}, std::move(conn), false};
-        }
-        learned_.erase(it);
+      if (std::shared_ptr<Conn> conn = learned()) {
+        return Route{{}, std::move(conn), false};
       }
       return Status::NotFound("no route to " + msg.to);
     }
@@ -399,6 +417,7 @@ Status TcpTransport::SendAwaitingReply(
   }
   // The read side is taken before the request leaves, so the reply cannot
   // reach the reactor first.
+  conn->awaited_rpc.store(request.rpc_id, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     if (!conn->closed) {
@@ -413,11 +432,17 @@ Status TcpTransport::SendAwaitingReply(
     if (left <= std::chrono::steady_clock::duration::zero()) break;
     // Rounded up, so the deadline has passed when poll times out.
     const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left);
-    pollfd pfd{conn->fd, POLLIN, 0};
-    int n = ::poll(&pfd, 1,
+    pollfd pfds[2] = {{conn->fd, POLLIN, 0}, {conn->wake_fd, POLLIN, 0}};
+    int n = ::poll(pfds, 2,
                    static_cast<int>(std::min<int64_t>(ms.count(), INT32_MAX)));
     if (n < 0 && errno != EINTR) open = false;
-    if (n > 0) open = ReadFrames(conn, /*by_caller=*/true);
+    if (n > 0 && pfds[1].revents != 0) {
+      uint64_t v;
+      (void)!::read(conn->wake_fd, &v, sizeof(v));  // done() is re-checked
+    }
+    if (n > 0 && pfds[0].revents != 0) {
+      open = ReadFrames(conn, /*by_caller=*/true);
+    }
     if (!open) {
       if (!done()) s = Status::Unavailable("connection closed");
       break;
@@ -429,6 +454,7 @@ Status TcpTransport::SendAwaitingReply(
     ::shutdown(conn->fd, SHUT_RDWR);
     Unroute(conn);
   }
+  conn->awaited_rpc.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     conn->caller_reading = false;
@@ -477,9 +503,15 @@ Result<std::shared_ptr<TcpTransport::Conn>> TcpTransport::GetOrConnect(
     ::close(fd);
     return nb;
   }
+  int wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd < 0) {
+    ::close(fd);
+    return Status::IOError(std::string("eventfd: ") + std::strerror(errno));
+  }
 
   auto conn = std::make_shared<Conn>();
   conn->fd = fd;
+  conn->wake_fd = wake_fd;
   conn->owner = from;
   conn->addr = addr;
   {
@@ -488,6 +520,7 @@ Result<std::shared_ptr<TcpTransport::Conn>> TcpTransport::GetOrConnect(
     if (!inserted) {
       // Lost a race; use the existing connection.
       ::close(fd);
+      ::close(wake_fd);
       return it->second;
     }
   }
@@ -704,7 +737,16 @@ void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg,
     (by_caller ? ResponsesReadByCallerCounter()
                : ResponsesReadByReactorCounter())
         ->Add();
+    if (by_caller && conn->awaited_rpc.load(std::memory_order_acquire) ==
+                         msg.rpc_id) {
+      DeliverLocal(std::move(msg));  // this thread's own reply
+      return;
+    }
+    // Someone else's reply: its caller may be polling another connection.
+    const NodeId to = msg.to;
+    const uint64_t rpc_id = msg.rpc_id;
     DeliverLocal(std::move(msg));
+    WakeWaiter(to, rpc_id);
     return;
   }
   bool may_run_inline = false;
@@ -750,6 +792,28 @@ void TcpTransport::Dispatch(const std::shared_ptr<Conn>& conn, Message msg,
     std::lock_guard<std::mutex> lock(conn->in_mu);
     conn->drain_scheduled = false;
   }
+}
+
+void TcpTransport::WakeWaiter(const NodeId& node, uint64_t rpc_id) {
+  std::shared_ptr<Conn> waiter;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = conns_.find(node);
+    if (it == conns_.end()) return;
+    for (const auto& [_, conn] : it->second) {
+      if (conn->awaited_rpc.load(std::memory_order_acquire) == rpc_id) {
+        waiter = conn;
+        break;
+      }
+    }
+  }
+  if (waiter == nullptr) return;
+  // Under write_mu while open: CloseSocket marks the connection closed
+  // under it before closing wake_fd.
+  std::lock_guard<std::mutex> lock(waiter->write_mu);
+  if (waiter->closed) return;
+  const uint64_t one = 1;
+  (void)!::write(waiter->wake_fd, &one, sizeof(one));
 }
 
 void TcpTransport::DrainInbox(const std::shared_ptr<Conn>& conn) {
@@ -835,6 +899,7 @@ void TcpTransport::CloseSocket(Conn* conn) {
     conn->reading.wait(true, std::memory_order_acquire);
   }
   ::close(conn->fd);
+  if (conn->wake_fd >= 0) ::close(conn->wake_fd);
 }
 
 void TcpTransport::Unroute(const std::shared_ptr<Conn>& conn) {

@@ -45,16 +45,22 @@ namespace chariots::net {
 /// leaves, withdraws the reactor's EPOLLIN interest, and blocks in poll(2)
 /// on the socket until its reply is delivered or its deadline passes — the
 /// reply reaches the waiting caller with no reactor wake-up in between.
-/// Both readers run one frame reader (ReadFrames), so inbound responses,
-/// inline requests and strand hand-offs behave the same whoever reads. A
-/// caller that finds the read side held sends and waits on its condition
-/// variable; the holder delivers its reply. Inbound responses otherwise
-/// run inline on the reactor, so a worker blocked in a nested Call is
-/// unblocked even when every worker is busy.
+/// A reply is sent back on the connection its request arrived on (the
+/// learned one, ahead of any static route), so it reaches that socket even
+/// when the server also routes to the caller. Should it arrive on another
+/// connection all the same (the caller's node reached one server process
+/// over two addresses), whoever delivers it wakes the poll through the
+/// connection's eventfd. Both readers run one frame reader (ReadFrames), so
+/// inbound responses, inline requests and strand hand-offs behave the same
+/// whoever reads. A caller that finds the read side held sends and waits on
+/// its condition variable; the holder delivers its reply. Inbound responses
+/// otherwise run inline on the reactor, so a worker blocked in a nested
+/// Call is unblocked even when every worker is busy.
 ///
 /// Connections are keyed by (local sending node, remote address): every
 /// endpoint has its own socket and server strand, and FIFO per (from, to)
-/// holds. Only the reactor (or Shutdown(), after joining it) closes a
+/// holds for requests and one-way messages; replies ride the connection of
+/// their request. Only the reactor (or Shutdown(), after joining it) closes a
 /// socket, and never while a caller holds its read side: shutdown(2)
 /// first wakes the caller's poll. Unregister(node) shuts the node's own
 /// connections down, which also ends any Call reading one; Shutdown()
@@ -75,10 +81,11 @@ namespace chariots::net {
 /// prefix routes installed with AddRoute("dc1", "127.0.0.1:7001"). Longest
 /// matching prefix wins. A message whose destination resolves locally is
 /// delivered without touching a socket. Additionally, the transport LEARNS
-/// peers: a node id seen as the sender of a request on an inbound
-/// connection becomes reachable over that connection — so servers can
-/// answer clients they have no static route to (clients connect from
-/// ephemeral addresses).
+/// peers: a node id seen as the sender of a request on a connection becomes
+/// reachable over that connection — so servers can answer clients they
+/// have no static route to (clients connect from ephemeral addresses).
+/// Responses prefer the learned connection; other messages use it only
+/// when no static route matches.
 class TcpTransport : public Transport {
  public:
   struct Options {
@@ -150,6 +157,9 @@ class TcpTransport : public Transport {
   /// are learned from requests.
   void Dispatch(const std::shared_ptr<Conn>& conn, Message msg,
                 bool by_caller);
+  /// Wakes the caller polling one of `node`'s connections for reply
+  /// `rpc_id`, if any: its reply was delivered by another reader.
+  void WakeWaiter(const NodeId& node, uint64_t rpc_id);
   /// Per-connection strand body: delivers queued requests one at a time.
   void DrainInbox(const std::shared_ptr<Conn>& conn);
   void DeliverLocal(Message msg);

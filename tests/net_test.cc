@@ -565,9 +565,13 @@ TEST(TcpTransportTest, RpcOverTcpBothDirections) {
 
   RpcEndpoint client(&a, "a/client");
   ASSERT_TRUE(client.Start().ok());
-  auto r = client.Call("b/server", 1, "hi", 2000ms);
+  // b also routes to "a": the reply must still come back where the caller
+  // reads it, not wait out the timeout.
+  auto start = std::chrono::steady_clock::now();
+  auto r = client.Call("b/server", 1, "hi", 5000ms);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, "tcp:hi");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 500ms);
 }
 
 // ------------------------------------------- TcpTransport: inline requests

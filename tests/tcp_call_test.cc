@@ -1,7 +1,8 @@
 // RpcEndpoint::Call over TCP loopback: the waiting caller reads its own
-// reply from its endpoint's own connection (DESIGN.md §10), and every way
-// a wait can end — reply, deadline, Stop(), Shutdown(), a peer close —
-// ends it promptly.
+// reply from its endpoint's own connection (DESIGN.md §10), whichever
+// side has routes to the other, and every way a wait can end — reply
+// (on its own connection or on another), deadline, Stop(), Shutdown(), a
+// peer close — ends it promptly.
 //
 // Which thread read each response comes from the process-wide
 // net.tcp.responses_read_by_caller / net.tcp.responses_read_by_reactor
@@ -158,6 +159,53 @@ TEST_F(CallFixture, EndpointsGetTheirOwnConnectionAndStrand) {
   appender.join();
 }
 
+TEST_F(CallFixture, ReplyOnAnotherConnectionStillEndsTheCallersWait) {
+  // The client's node reaches the server process over two addresses, so
+  // over two connections, and the server answers a node on the one it last
+  // heard it on. A reply can then reach the client on a connection its
+  // caller is not reading: whoever delivers it must wake the caller.
+  RpcEndpoint alt(&server_side_, "alt/node");
+  alt.HandleInline(kEchoOp, [](const NodeId&, const std::string& q)
+                                -> Result<std::string> { return q; });
+  ASSERT_TRUE(alt.Start().ok());
+  client_side_.AddRoute("alt", "127.0.0.2", server_side_.port());
+  RpcEndpoint client(&client_side_, "cli/a");
+  ASSERT_TRUE(client.Start().ok());
+  const uint64_t by_caller0 =
+      CounterValue("net.tcp.responses_read_by_caller");
+  const uint64_t by_reactor0 =
+      CounterValue("net.tcp.responses_read_by_reactor");
+
+  Status status;
+  std::chrono::steady_clock::time_point returned;
+  std::thread caller([&] {
+    status = client.Call("srv/node", kBlockOp, "blocked", 5000ms).status();
+    returned = std::chrono::steady_clock::now();
+  });
+  ASSERT_TRUE(block_entered_.WaitFor(2s));
+  // Same node, second connection: the server now answers cli/a there.
+  auto r = client.Call("alt/node", kEchoOp, "other", 2000ms);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "other");
+  const auto released = std::chrono::steady_clock::now();
+  release_.CountDown();
+  caller.join();
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(returned -
+                                                                  released)
+                .count(),
+            500)
+      << "the caller waited out its timeout";
+  // The echo was read by its caller; the blocked call's reply came in on
+  // the echo's connection, which nobody was reading, so the reactor read it.
+  EXPECT_EQ(CounterValue("net.tcp.responses_read_by_caller") - by_caller0,
+            1u);
+  EXPECT_EQ(CounterValue("net.tcp.responses_read_by_reactor") - by_reactor0,
+            1u);
+  // Fence alt's handlers before it is destroyed.
+  server_side_.Shutdown();
+}
+
 TEST_F(CallFixture, StopEndsACallerReadAtOnceAndRestartReconnects) {
   RpcEndpoint client(&client_side_, "cli/a");
   ASSERT_TRUE(client.Start().ok());
@@ -278,6 +326,45 @@ TEST_F(CallFixture, DeadlineExpiresWhileTheCallerReads) {
   auto ok = client.Call("srv/node", kEchoOp, "fresh", 2000ms);
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(*ok, "fresh");
+}
+
+TEST(TcpRoutesBothWaysTest, CallersReadTheirRepliesWhenEachSideRoutesBack) {
+  // Two processes with static routes to each other, as every chariots_node
+  // has: each reply must come back on the connection its request left on,
+  // not on a connection of the server's own, so the caller reads it at
+  // once instead of waiting out its timeout.
+  TcpTransport a_side, b_side;
+  ASSERT_TRUE(a_side.Listen(0).ok());
+  ASSERT_TRUE(b_side.Listen(0).ok());
+  a_side.AddRoute("b", "127.0.0.1", b_side.port());
+  b_side.AddRoute("a", "127.0.0.1", a_side.port());
+  RpcEndpoint a(&a_side, "a/node");
+  RpcEndpoint b(&b_side, "b/node");
+  for (RpcEndpoint* e : {&a, &b}) {
+    e->HandleInline(kEchoOp, [](const NodeId&, const std::string& q)
+                                 -> Result<std::string> { return q; });
+    ASSERT_TRUE(e->Start().ok());
+  }
+  constexpr int kCalls = 20;
+  const uint64_t by_caller0 =
+      CounterValue("net.tcp.responses_read_by_caller");
+  const uint64_t by_reactor0 =
+      CounterValue("net.tcp.responses_read_by_reactor");
+  for (int i = 0; i < kCalls; ++i) {
+    for (auto [from, to] : {std::pair{&a, "b/node"}, std::pair{&b, "a/node"}}) {
+      auto start = std::chrono::steady_clock::now();
+      auto r = from->Call(to, kEchoOp, std::to_string(i), 5000ms);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(*r, std::to_string(i));
+      EXPECT_LT(MillisSince(start), 500) << "call " << i << " to " << to;
+    }
+  }
+  EXPECT_EQ(CounterValue("net.tcp.responses_read_by_caller") - by_caller0,
+            static_cast<uint64_t>(2 * kCalls));
+  EXPECT_EQ(CounterValue("net.tcp.responses_read_by_reactor") - by_reactor0,
+            0u);
+  a_side.Shutdown();
+  b_side.Shutdown();
 }
 
 TEST(TcpCloseTest, ShutdownFencesStrandOfConnectionClosedEarlier) {
