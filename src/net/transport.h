@@ -75,7 +75,9 @@ class Transport {
   /// then, when the transport can, reads the (from, to) connection on the
   /// calling thread until `done()` holds or `deadline` passes, delivering
   /// every message it reads exactly as its own I/O thread would — so the
-  /// reply completes the caller's wait before this returns. It sends the
+  /// reply completes the caller's wait before this returns. A reply that
+  /// another thread delivers (it came in on another connection) must end
+  /// the read just as promptly. It sends the
   /// request itself so the transport can claim the reply's read path
   /// before the request leaves; claimed after a plain Send(), the reply
   /// can beat the caller to it. The default only sends; the caller then
